@@ -18,6 +18,9 @@ CLOCK_PROCESS_CPUTIME_ID = 2
 CLOCK_MONOTONIC_RAW = 4
 CLOCK_BOOTTIME = 7
 
+# Linux hands out at most INT_MAX >> 6 bytes (32 MiB - 1) per getrandom call
+GETRANDOM_MAX = 33_554_431
+
 
 @dataclass
 class UtsName:
@@ -108,7 +111,11 @@ class MiscCalls:
 
     def sys_getrandom(self, proc: Process, length: int,
                       flags: int = 0) -> bytes:
-        return bytes(self.rng.getrandbits(8) for _ in range(length))
+        """Up to :data:`GETRANDOM_MAX` bytes from the kernel's seeded
+        generator, made in one piece (a seed gives the same bytes)."""
+        if length < 0:
+            raise KernelError(EINVAL, "negative getrandom length")
+        return self.rng.randbytes(min(length, GETRANDOM_MAX))
 
     def sys_uname(self, proc: Process) -> UtsName:
         return UtsName(machine=self.machine)

@@ -2,14 +2,18 @@
 
 Four ways to run the same application image:
 
-========  ==========================  =========================  ==========
-tier      startup work                execution                  base mem
-========  ==========================  =========================  ==========
-native    bind precompiled code       compiled tier, no sandbox   ~2 MB
-wali      decode + validate + link    sandboxed interpreter        ~4 MB
-qemu      translate to guest binary   decode-on-fetch emulator     ~6 MB
-docker    assemble image + namespaces compiled tier (near-native) ~30 MB
-========  ==========================  =========================  ==========
+========  ==========================  ============================  ==========
+tier      startup work                execution                     base mem
+========  ==========================  ============================  ==========
+native    bind precompiled code       compiled tier, no sandbox     ~2 MB
+wali      decode + validate + link    block-threaded interpreter    ~4 MB
+qemu      translate to guest binary   decode-on-fetch emulator      ~6 MB
+docker    assemble image + namespaces compiled tier (near-native)   ~30 MB
+========  ==========================  ============================  ==========
+
+The wali tier's interpreter runs hot blocks as generated Python
+(``docs/engine.md``); native and docker bind the AoT code of
+:func:`repro.wasm.compile.compile_instance`, compiled once per module.
 
 Startup and run times are *measured* (the work is real: validation,
 linking, layer hashing, instruction decode); only the per-tier base memory
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..kernel import Kernel
-from ..wasm import Module, decode_module, encode_module, instantiate
+from ..wasm import Module, decode_module, encode_module
 from ..wasm.compile import CompiledContext, compile_instance
 from ..wasm.errors import GuestExit, Trap
 from ..wasm.types import PAGE_SIZE
@@ -116,56 +120,6 @@ def _prepare_kernel(kernel: Kernel, workload: Workload) -> None:
         kernel.console_feed(workload.stdin)
 
 
-# precompiled source cache for the native/docker tiers ("offline AoT")
-_precompiled: Dict[int, dict] = {}
-
-
-def _bind_compiled(module: Module, instance) -> CompiledContext:
-    key = id(module)
-    if key not in _precompiled:
-        # compile once per module (offline step, not part of startup)
-        tmp = instantiate(module, _null_imports(module), run_start=False)
-        compile_instance(tmp, scheme="none")
-        from ..wasm.compile import _FnCompiler
-
-        sources = {}
-        n_imp = module.num_imported_funcs
-        for i in range(len(module.funcs)):
-            idx = n_imp + i
-            src = _FnCompiler(module, idx, "none").source()
-            sources[idx] = compile(src, f"<aot:f{idx}>", "exec")
-        _precompiled[key] = sources
-    sources = _precompiled[key]
-    import math
-
-    from ..wasm.compile import (
-        Trap as _T, TrapUnreachable, _clz, _ctz, _fdiv, _idiv_s, _irem_s,
-        _rotl, _sext, _trunc, _udiv, _urem,
-    )
-    from ..wasm.types import signed32, signed64
-
-    env = {"_idiv_s": _idiv_s, "_irem_s": _irem_s, "_clz": _clz,
-           "_ctz": _ctz, "_rotl": _rotl, "_trunc": _trunc,
-           "_sgn32": signed32, "_sgn64": signed64, "_sext": _sext,
-           "_udiv": _udiv, "_urem": _urem, "_fdiv": _fdiv,
-           "_sqrt": math.sqrt, "_ceil": math.ceil, "_floor": math.floor,
-           "Trap": _T, "TrapUnreachable": TrapUnreachable}
-    ctx = CompiledContext(instance)
-    for idx, code in sources.items():
-        scope: dict = {}
-        exec(code, env, scope)
-        ctx.cfuncs[idx] = scope[f"_f{idx}"]
-    return ctx
-
-
-def _null_imports(module: Module) -> dict:
-    out: dict = {}
-    for im in module.imports:
-        if im.kind == "func":
-            out.setdefault(im.module, {})[im.name] = lambda *a: 0
-    return out
-
-
 def run_tier(tier: str, module: Module, workload: Workload,
              env: Optional[dict] = None) -> RunResult:
     """Run one workload under one virtualization tier; measure everything."""
@@ -185,7 +139,7 @@ def run_tier(tier: str, module: Module, workload: Workload,
         status = session.run_interp()
     elif tier == "native":
         session = _GuestSession(kernel, module, workload.argv, env, "none")
-        ctx = _bind_compiled(module, session.wp.instance)
+        ctx = compile_instance(session.wp.instance)
         startup = time.perf_counter() - t0
         t1 = time.perf_counter()
         status = session.run_compiled(ctx)
@@ -217,7 +171,7 @@ def _run_docker(module: Module, workload: Workload,
     kernel = container.kernel
     _prepare_kernel(kernel, workload)
     session = _GuestSession(kernel, module, workload.argv, env, "none")
-    ctx = _bind_compiled(module, session.wp.instance)
+    ctx = compile_instance(session.wp.instance)
     startup = time.perf_counter() - t0
 
     t1 = time.perf_counter()

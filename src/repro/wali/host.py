@@ -22,11 +22,13 @@ from __future__ import annotations
 import struct
 import time as _time
 from collections import Counter, defaultdict
+from collections.abc import Mapping
 from typing import Dict, List, Optional
 
 from ..kernel.errno import (
     EFAULT, EINVAL, ENOSYS, ERANGE, KernelError,
 )
+from ..kernel.calls.misc import GETRANDOM_MAX
 from ..kernel.fdtable import OpenFile
 from ..kernel.uring import (
     IORING_CQE_F_BUFFER, IORING_ENTER_GETEVENTS, IORING_ENTER_TIMEOUT_MS,
@@ -42,7 +44,7 @@ from ..wasm.interp import HostFunc
 from ..wasm.types import I32, FuncType, signed32, signed64
 from .layout import GUEST_LAYOUT, Layout
 from .security import OPEN_LIKE, check_path, deny_sigreturn, sanitize_prot
-from .spec import MODULE, SUPPORT_CALLS, SYSCALLS
+from .spec import MODULE, SUPPORT_CALLS, SYSCALLS, SyscallSpec
 
 # syscalls whose arguments are all plain integers and whose kernel method has
 # the same shape: these are generated, not written (the paper's >85% story).
@@ -166,22 +168,27 @@ class WaliHost:
     # ------------------------------------------------------------------
 
     def imports(self) -> dict:
-        """Build the ``{"wali": {...}}`` import namespace."""
-        ns = {}
-        for spec in SYSCALLS.values():
-            method = getattr(self, f"w_{spec.name}", None)
+        """The ``{"wali": {...}}`` import namespace.
+
+        Every spec name is in it; a name's host function is built when it
+        is first looked up, so linking pays only for the ~20 calls a module
+        imports, not the whole table."""
+        return {MODULE: _ImportTable(self)}
+
+    def _import(self, import_name: str) -> HostFunc:
+        entry = _IMPORT_NAMES[import_name]
+        if isinstance(entry, SyscallSpec):
+            method = getattr(self, f"w_{entry.name}", None)
             if method is None:
-                if spec.name in AUTO_PASSTHROUGH:
-                    method = _make_passthrough(self, spec.name)
+                if entry.name in AUTO_PASSTHROUGH:
+                    method = _make_passthrough(self, entry.name)
                 else:
-                    method = _make_enosys(spec.name)
-            ns[spec.import_name] = HostFunc(
-                spec.functype, self._instrument(spec.name, method),
-                spec.import_name)
-        for name, params, results in SUPPORT_CALLS:
-            fn = getattr(self, f"sup_{name}")
-            ns[name] = HostFunc(FuncType(params, results), fn, name)
-        return {MODULE: ns}
+                    method = _make_enosys(entry.name)
+            return HostFunc(entry.functype,
+                            self._instrument(entry.name, method), import_name)
+        _, params, results = entry
+        return HostFunc(FuncType(params, results),
+                        getattr(self, f"sup_{import_name}"), import_name)
 
     def _instrument(self, name: str, method):
         """Wrap a handler with errno conversion + time split accounting."""
@@ -926,6 +933,10 @@ class WaliHost:
                       self.timespec_at(timeout_ptr))
 
     def w_getrandom(self, buf, length, flags):
+        # the guest range is checked before any byte is made: a bad one
+        # fails fast with EFAULT, whatever the length asked
+        if buf + min(length, GETRANDOM_MAX) > self.mem.size_bytes:
+            raise KernelError(EFAULT, "getrandom buffer outside memory")
         data = self.k("getrandom", length, flags)
         self.copy_out(buf, data)
         return len(data)
@@ -1155,6 +1166,37 @@ def _token(handler: int) -> int:
     if handler in (SIG_DFL, SIG_IGN):
         return handler
     return handler  # a funcref table index
+
+
+# import name -> its syscall spec, or its support-call signature
+_IMPORT_NAMES = {spec.import_name: spec for spec in SYSCALLS.values()}
+_IMPORT_NAMES.update((call[0], call) for call in SUPPORT_CALLS)
+
+
+class _ImportTable(Mapping):
+    """One host's ``wali`` namespace: holds every name, builds each entry
+    on its first lookup."""
+
+    __slots__ = ("_host", "_built")
+
+    def __init__(self, host: WaliHost):
+        self._host = host
+        self._built: Dict[str, HostFunc] = {}
+
+    def __getitem__(self, name: str) -> HostFunc:
+        fn = self._built.get(name)
+        if fn is None:
+            fn = self._built[name] = self._host._import(name)
+        return fn
+
+    def __contains__(self, name) -> bool:
+        return name in _IMPORT_NAMES
+
+    def __iter__(self):
+        return iter(_IMPORT_NAMES)
+
+    def __len__(self) -> int:
+        return len(_IMPORT_NAMES)
 
 
 def _make_passthrough(host: WaliHost, name: str):

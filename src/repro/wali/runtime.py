@@ -22,6 +22,7 @@ from ..kernel.errno import EACCES, ENOEXEC, ENOENT, KernelError
 from ..kernel.process import Process, STATE_RUNNING
 from ..wasm import Module, decode_module, encode_module, instantiate
 from ..wasm.errors import GuestExit, Trap, WasmError
+from ..wasm.flatten import FlatCode
 from ..wasm.interp import Machine
 from .host import WaliHost
 from .mmap_pool import MmapPool
@@ -29,11 +30,30 @@ from .security import SecurityPolicy
 from .sigvirt import VirtualSigTable
 
 
+# decoded images a runtime keeps, the least recently decoded dropped first
+MAX_IMAGES = 64
+
+
+class Image:
+    """A decoded ``.wasm`` file, shared by every process that runs it.
+
+    ``codes`` is the flat code of its functions, flattened by the first
+    instantiation; later ones share it, and with it the blocks the
+    interpreter compiled while running it."""
+
+    __slots__ = ("data", "module", "codes")
+
+    def __init__(self, data: bytes, module: Module):
+        self.data = data
+        self.module = module
+        self.codes: Optional[List[FlatCode]] = None
+
+
 class ExecveImage(Exception):
     """Internal control flow: the guest requested a new program image."""
 
-    def __init__(self, module: Module, path: str):
-        self.module = module
+    def __init__(self, image: Image, path: str):
+        self.image = image
         self.path = path
         super().__init__(f"execve {path}")
 
@@ -41,7 +61,8 @@ class ExecveImage(Exception):
 class WaliProcess:
     """One guest process: kernel process + instance + machine + WALI state."""
 
-    def __init__(self, runtime: "WaliRuntime", proc: Process, module: Module):
+    def __init__(self, runtime: "WaliRuntime", proc: Process, module: Module,
+                 image: Optional[Image] = None):
         self.rt = runtime
         self.proc = proc
         self.module = module
@@ -54,15 +75,20 @@ class WaliProcess:
         self.exit_status: Optional[int] = None
         self.trap: Optional[Trap] = None
         self.thread: Optional[threading.Thread] = None
-        self._load(module)
+        self._load(module, image)
 
     # ---- image management ----
 
-    def _load(self, module: Module) -> None:
+    def _load(self, module: Module, image: Optional[Image] = None) -> None:
         self.module = module
         self.host = WaliHost(self.rt, self)
         imports = self.host.imports()
-        self.instance = instantiate(module, imports, scheme=self.rt.scheme)
+        codes = image.codes if image is not None else None
+        self.instance = instantiate(module, imports, scheme=self.rt.scheme,
+                                    codes=codes)
+        if image is not None and codes is None:
+            image.codes = [f.code for f in
+                           self.instance.funcs[module.num_imported_funcs:]]
         self.machine = Machine(self.instance)
         # the perf sampler walks this interpreter's frame stack
         self.proc.machine = self.machine
@@ -102,7 +128,7 @@ class WaliProcess:
             except GuestExit as exc:
                 status = exc.status
             except ExecveImage as exc:
-                self._load(exc.module)
+                self._load(exc.image.module, exc.image)
                 continue
             except Trap as exc:
                 self.trap = exc
@@ -182,6 +208,10 @@ class WaliRuntime:
         self.scheme = scheme
         self.policy = policy
         self.processes: List[WaliProcess] = []
+        # decoded .wasm files by path, valid while the file's bytes are
+        # unchanged: a repeated execve reuses the module, its flat code
+        # and its compiled blocks
+        self._images: Dict[str, Image] = {}
 
     # ---- program loading ----
 
@@ -195,14 +225,16 @@ class WaliRuntime:
              env: Optional[Dict[str, str]] = None,
              cwd: str = "/") -> WaliProcess:
         """Create a WALI process for a module or an installed ``.wasm``."""
+        image = None
         if isinstance(program, str):
-            module = self._image_from_path(program)
+            image = self._image_from_path(program)
+            module = image.module
             argv = argv if argv is not None else [program]
         else:
             module = program
             argv = argv if argv is not None else [module.name or "app"]
         proc = self.kernel.create_process(argv, env or {}, cwd=cwd)
-        wp = WaliProcess(self, proc, module)
+        wp = WaliProcess(self, proc, module, image)
         self.processes.append(wp)
         return wp
 
@@ -210,11 +242,18 @@ class WaliRuntime:
         """Convenience: load + run to completion; returns the exit status."""
         return self.load(program, argv, env, cwd).run()
 
-    def _image_from_path(self, path: str) -> Module:
+    def _image_from_path(self, path: str) -> Image:
         data = self.kernel.vfs.read_file(path)
         if data[:4] != b"\x00asm":
             raise KernelError(ENOEXEC, path)
-        return decode_module(data, name=path)
+        image = self._images.get(path)
+        if image is None or image.data != data:
+            image = Image(data, decode_module(data, name=path))
+            self._images.pop(path, None)
+            if len(self._images) >= MAX_IMAGES:
+                del self._images[next(iter(self._images))]
+            self._images[path] = image
+        return image
 
     # ---- process model hooks (called from WaliHost) ----
 
@@ -277,8 +316,7 @@ class WaliRuntime:
     def execve(self, wp: WaliProcess, path: str, argv: List[str],
                envp: List[str]) -> int:
         self.kernel.call(wp.proc, "execve", path, argv, envp)
-        module = self._image_from_path(path)
-        raise ExecveImage(module, path)
+        raise ExecveImage(self._image_from_path(path), path)
 
     # ---- reporting ----
 

@@ -18,13 +18,18 @@ Python call stack, so ``fork`` is only available under the interpreter tier.
 
 from __future__ import annotations
 
+import math
+from types import CodeType
 from typing import Callable, Dict, List
 
 from .errors import (
     Trap, TrapIndirectCall, TrapStackExhausted, TrapUnreachable,
 )
 from .flatten import SAFEPOINT_SCHEMES
-from .interp import HostFunc, _idiv_s, _irem_s, _clz, _ctz, _rotl, _trunc
+from .interp import (
+    HostFunc, _clz, _ctz, _fdiv, _idiv_s, _irem_s, _rotl, _sext, _trunc,
+    _udiv, _urem,
+)
 from .module import Module
 from .types import (
     F64, I32, I64, MASK32, MASK64, default_value, signed32, signed64,
@@ -53,10 +58,10 @@ _BINOPS32 = {
     "i32.gt_u": "1 if {a} > {b} else 0",
     "i32.le_u": "1 if {a} <= {b} else 0",
     "i32.ge_u": "1 if {a} >= {b} else 0",
-    "i32.lt_s": "1 if _sgn32({a}) < _sgn32({b}) else 0",
-    "i32.gt_s": "1 if _sgn32({a}) > _sgn32({b}) else 0",
-    "i32.le_s": "1 if _sgn32({a}) <= _sgn32({b}) else 0",
-    "i32.ge_s": "1 if _sgn32({a}) >= _sgn32({b}) else 0",
+    "i32.lt_s": "1 if ({a} ^ 0x80000000) < ({b} ^ 0x80000000) else 0",
+    "i32.gt_s": "1 if ({a} ^ 0x80000000) > ({b} ^ 0x80000000) else 0",
+    "i32.le_s": "1 if ({a} ^ 0x80000000) <= ({b} ^ 0x80000000) else 0",
+    "i32.ge_s": "1 if ({a} ^ 0x80000000) >= ({b} ^ 0x80000000) else 0",
 }
 _BINOPS64 = {
     "i64.add": "({a} + {b}) & 0xFFFFFFFFFFFFFFFF",
@@ -80,10 +85,14 @@ _BINOPS64 = {
     "i64.gt_u": "1 if {a} > {b} else 0",
     "i64.le_u": "1 if {a} <= {b} else 0",
     "i64.ge_u": "1 if {a} >= {b} else 0",
-    "i64.lt_s": "1 if _sgn64({a}) < _sgn64({b}) else 0",
-    "i64.gt_s": "1 if _sgn64({a}) > _sgn64({b}) else 0",
-    "i64.le_s": "1 if _sgn64({a}) <= _sgn64({b}) else 0",
-    "i64.ge_s": "1 if _sgn64({a}) >= _sgn64({b}) else 0",
+    "i64.lt_s": "1 if ({a} ^ 0x8000000000000000) < "
+                "({b} ^ 0x8000000000000000) else 0",
+    "i64.gt_s": "1 if ({a} ^ 0x8000000000000000) > "
+                "({b} ^ 0x8000000000000000) else 0",
+    "i64.le_s": "1 if ({a} ^ 0x8000000000000000) <= "
+                "({b} ^ 0x8000000000000000) else 0",
+    "i64.ge_s": "1 if ({a} ^ 0x8000000000000000) >= "
+                "({b} ^ 0x8000000000000000) else 0",
 }
 _BINOPSF = {
     "f64.add": "{a} + {b}", "f64.sub": "{a} - {b}", "f64.mul": "{a} * {b}",
@@ -335,7 +344,7 @@ class _FnCompiler:
             self.push_expr(str(instr[1] & mask))
             return
         if name == "f64.const":
-            self.push_expr(repr(float(instr[1])))
+            self.push_expr(const_literal(float(instr[1])))
             return
         if name == "drop":
             self.height -= 1
@@ -528,34 +537,61 @@ class CompiledContext:
         return old
 
 
-def compile_instance(instance, scheme: str = "none") -> CompiledContext:
-    """Compile all defined functions of an instance; returns the context.
+def const_literal(value) -> str:
+    """Python source for a constant operand, infinities and NaN included
+    (they have no literal: ``_INF``/``_NAN`` come from the environment)."""
+    if isinstance(value, int):
+        return str(value)
+    if value != value:
+        return "_NAN"
+    if value in (math.inf, -math.inf):
+        return "_INF" if value > 0 else "(-_INF)"
+    return f"({value!r})"
 
-    ``ctx.invoke(func_index, args)`` then runs compiled code end-to-end.
+
+# the globals every generated function runs with (the templates' helpers)
+TEMPLATE_ENV = {
+    "_idiv_s": _idiv_s, "_irem_s": _irem_s, "_clz": _clz, "_ctz": _ctz,
+    "_rotl": _rotl, "_trunc": _trunc, "_sgn32": signed32,
+    "_sgn64": signed64, "_sext": _sext, "_udiv": _udiv, "_urem": _urem,
+    "_fdiv": _fdiv, "_sqrt": math.sqrt, "_ceil": math.ceil,
+    "_floor": math.floor, "_INF": math.inf, "_NAN": math.nan, "Trap": Trap,
+    "TrapUnreachable": TrapUnreachable,
+}
+
+
+def compile_module(module: Module,
+                   scheme: str = "none") -> Dict[int, CodeType]:
+    """Code objects for every defined function, by function index.
+
+    Compiled once per module and scheme and kept in ``module.derived``,
+    which the passes that rewrite a module clear (``opt.gc_functions``).
     """
     if scheme not in SAFEPOINT_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    import math
+    key = ("aot", scheme)
+    codes = module.derived.get(key)
+    if codes is None:
+        codes = {}
+        n_imp = module.num_imported_funcs
+        for i in range(len(module.funcs)):
+            idx = n_imp + i
+            src = _FnCompiler(module, idx, scheme).source()
+            codes[idx] = compile(src, f"<wasm:{module.name}:f{idx}>", "exec")
+        module.derived[key] = codes
+    return codes
 
-    m = instance.module
-    env = {
-        "_idiv_s": _idiv_s, "_irem_s": _irem_s, "_clz": _clz, "_ctz": _ctz,
-        "_rotl": _rotl, "_trunc": _trunc, "_sgn32": signed32,
-        "_sgn64": signed64, "_sext": _sext, "_udiv": _udiv, "_urem": _urem,
-        "_fdiv": _fdiv, "_sqrt": math.sqrt, "_ceil": math.ceil,
-        "_floor": math.floor, "Trap": Trap,
-        "TrapUnreachable": TrapUnreachable,
-    }
+
+def compile_instance(instance, scheme: str = "none") -> CompiledContext:
+    """Bind the module's compiled functions to an instance; returns the
+    context.  Compilation is cached per module (:func:`compile_module`),
+    so binding another instance of the same module only links.
+
+    ``ctx.invoke(func_index, args)`` then runs compiled code end-to-end.
+    """
     ctx = CompiledContext(instance)
-    n_imp = m.num_imported_funcs
-    for i in range(len(m.funcs)):
-        idx = n_imp + i
-        src = _FnCompiler(m, idx, scheme).source()
+    for idx, code in compile_module(instance.module, scheme).items():
         scope: dict = {}
-        exec(compile(src, f"<wasm:{m.name}:f{idx}>", "exec"), env, scope)
+        exec(code, TEMPLATE_ENV, scope)
         ctx.cfuncs[idx] = scope[f"_f{idx}"]
     return ctx
-
-
-# small helpers shared with the interpreter semantics
-from .interp import _fdiv, _sext, _udiv, _urem  # noqa: E402

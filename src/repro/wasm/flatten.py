@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 from .module import Function, Module
 from .opcodes import OPS
-from .types import FuncType, MASK32, MASK64
+from .types import F64, FuncType, MASK32, MASK64
 
 SAFEPOINT_SCHEMES = ("none", "loop", "func", "all")
 
@@ -40,14 +40,16 @@ class FlatCode:
     local_types: List[str]      # params + declared locals
     ops: List[tuple] = field(default_factory=list)
     loop_headers: List[int] = field(default_factory=list)
+    # the interpreter's per-pc block table: entry countdown, compiled
+    # block or None (see interp.Machine.run); built on first execution
+    blocks: Optional[list] = field(default=None, repr=False, compare=False)
 
-    @property
-    def n_params(self) -> int:
-        return len(self.functype.params)
-
-    @property
-    def n_results(self) -> int:
-        return len(self.functype.results)
+    def __post_init__(self):
+        self.n_params = len(self.functype.params)
+        self.n_results = len(self.functype.results)
+        # initial values of the declared (non-parameter) locals
+        self.local_zeros = [0.0 if t == F64 else 0
+                            for t in self.local_types[self.n_params:]]
 
 
 class _Label:

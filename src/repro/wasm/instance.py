@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from .errors import LinkError, Trap
-from .flatten import SAFEPOINT_SCHEMES, flatten_function
+from .flatten import SAFEPOINT_SCHEMES, FlatCode, flatten_function
 from .interp import HostFunc, Machine, WasmFunc
 from .memory import LinearMemory
 from .module import Module, KIND_FUNC, KIND_GLOBAL, KIND_MEMORY, KIND_TABLE
@@ -129,11 +129,17 @@ def _const_value(instr: tuple, globals_: List[GlobalCell]):
 
 def instantiate(module: Module, imports: Optional[dict] = None,
                 scheme: str = "loop", validate: bool = True,
-                run_start: bool = True) -> Instance:
-    """Link and initialise a module; returns a live :class:`Instance`."""
+                run_start: bool = True,
+                codes: Optional[List[FlatCode]] = None) -> Instance:
+    """Link and initialise a module; returns a live :class:`Instance`.
+
+    ``codes`` is the flat code of the module's defined functions from an
+    earlier instantiation of the same, unchanged module under the same
+    scheme: the new instance shares it (and the blocks the interpreter
+    compiles in it) instead of validating and flattening again."""
     if scheme not in SAFEPOINT_SCHEMES:
         raise ValueError(f"unknown safepoint scheme {scheme!r}")
-    if validate:
+    if validate and codes is None:
         validate_module(module)
     imports = imports or {}
     inst = Instance(module, scheme)
@@ -177,9 +183,10 @@ def instantiate(module: Module, imports: Optional[dict] = None,
             inst.table = provider
 
     # --- definitions ---
-    for fn in module.funcs:
+    for i, fn in enumerate(module.funcs):
         ft = module.types[fn.type_idx]
-        code = flatten_function(module, fn, scheme)
+        code = codes[i] if codes is not None else \
+            flatten_function(module, fn, scheme)
         inst.funcs.append(WasmFunc(ft, code))
 
     for mt in module.memories:

@@ -12,6 +12,14 @@ demands of an engine (§3 of the paper):
 * **suspension** — host code always sees a consistent machine (the pc is
   committed to the frame before any host call).
 
+``Machine.run`` is block-threaded: hot straight-line runs of flat code
+execute as generated Python functions (:mod:`.blocks`), while calls,
+returns, polls and the other ops that need machine state stay in the
+loop, so the state above is as explicit as ever at every call, safepoint
+and host crossing.  ``Machine.steps`` stays exact.  The one-op-per-
+iteration loop remains as the reference; it runs when ``fuel`` is set and
+for code that is not :class:`FlatCode`.  See ``docs/engine.md``.
+
 Values are Python ints in unsigned representation (i32 in ``[0, 2**32)``,
 i64 in ``[0, 2**64)``) and Python floats for f64.
 """
@@ -224,10 +232,10 @@ def _build_arith():
     unf("abs", abs)
     unf("neg", lambda x: -x)
     unf("sqrt", math.sqrt)
-    unf("ceil", math.ceil)
-    unf("floor", math.floor)
-    unf("trunc", math.trunc)
-    unf("nearest", round)
+    unf("ceil", lambda x: float(math.ceil(x)))
+    unf("floor", lambda x: float(math.floor(x)))
+    unf("trunc", lambda x: float(int(x)))
+    unf("nearest", lambda x: float(round(x)))
 
     # conversions
     def conv(name, fn):
@@ -296,6 +304,64 @@ _STORES = {
 }
 
 
+def _atomic_add(stack, mem, offset: int) -> None:
+    val = stack.pop()
+    addr = stack.pop() + offset
+    with _ATOMIC_LOCK:
+        old = mem.load_i32(addr)
+        mem.store_i32(addr, old + val)
+    stack.append(old)
+
+
+def _atomic_cmpxchg(stack, mem, offset: int) -> None:
+    new = stack.pop()
+    expected = stack.pop()
+    addr = stack.pop() + offset
+    with _ATOMIC_LOCK:
+        old = mem.load_i32(addr)
+        if old == expected:
+            mem.store_i32(addr, new)
+    stack.append(old)
+
+
+_ATOMICS = {"i32.atomic.rmw.add": _atomic_add,
+            "i32.atomic.rmw.cmpxchg": _atomic_cmpxchg}
+
+
+def _unwind(stack: list, keep_from: int, arity: int) -> None:
+    """Branch unwinding: cut the stack to ``keep_from`` values, keeping the
+    top ``arity`` values on top."""
+    if arity:
+        keep = stack[len(stack) - arity:]
+        del stack[keep_from:]
+        stack.extend(keep)
+    else:
+        del stack[keep_from:]
+
+
+# a block start is compiled on this entry and runs op by op on the ones
+# before, so run-once start-up code never pays for compilation
+HOT_BLOCK_ENTRIES = 16
+
+
+def _compile_block(code: FlatCode, pc: int, height: int):
+    from .blocks import compile_block
+
+    return compile_block(code, pc, height)
+
+
+def _trap_steps(block: tuple, exc: BaseException) -> int:
+    """Ops a compiled block retired up to and including the one that
+    raised ``exc``: the line it was raised on, mapped back to its op."""
+    fn_code = block[0].__code__
+    tb = exc.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_code is fn_code:
+            return block[2][tb.tb_lineno]
+        tb = tb.tb_next
+    return block[1]
+
+
 class Machine:
     """One thread of Wasm execution (the paper's instance-per-thread unit)."""
 
@@ -354,7 +420,243 @@ class Machine:
         self.frames.append([code, 0, locals_, len(self.stack)])
 
     def run(self, min_depth: int = 0) -> None:
-        """Execute until the frame stack drops back to ``min_depth``."""
+        """Execute until the frame stack drops back to ``min_depth``.
+
+        Runs the block engine, or the per-op reference loop when ``fuel``
+        is set (fuel is checked per op)."""
+        if self.fuel is None:
+            self._run_blocks(min_depth)
+        else:
+            self._run_ops(min_depth)
+
+    def _run_blocks(self, min_depth: int) -> None:
+        """The block engine: hot blocks run as compiled functions
+        (:mod:`.blocks`), cold ones op by op; ops that need machine state
+        run here.  ``steps`` is kept in a local and written back before
+        every host call, poll hook and nested run, and on exit."""
+        stack = self.stack
+        frames = self.frames
+        inst = self.instance
+        globals_ = inst.globals
+        mem = inst.memory
+        data = mem.data if mem is not None else None
+        steps = self.steps
+        try:
+            while len(frames) > min_depth:
+                frame = frames[-1]
+                code = frame[0]
+                if code.__class__ is not FlatCode:
+                    # decode-on-fetch views run in the reference loop
+                    self.steps = steps
+                    try:
+                        self._run_ops(len(frames) - 1)
+                    finally:
+                        steps = self.steps
+                    mem = inst.memory
+                    data = mem.data if mem is not None else None
+                    continue
+                ops = code.ops
+                blocks = code.blocks
+                if blocks is None:
+                    blocks = code.blocks = [HOT_BLOCK_ENTRIES] * len(ops)
+                pc = frame[1]
+                locals_ = frame[2]
+
+                while True:
+                    # pc starts a block: run it compiled once it is hot,
+                    # op by op before; None marks an op run only here
+                    b = blocks[pc]
+                    if b.__class__ is tuple:
+                        steps += b[1]
+                        try:
+                            pc = b[0](stack, locals_, mem, data, globals_)
+                        except BaseException as exc:
+                            steps += _trap_steps(b, exc) - b[1]
+                            raise
+                        continue
+                    if b is not None:
+                        if b <= 1:
+                            blocks[pc] = _compile_block(
+                                code, pc, len(stack) - frame[3])
+                            continue
+                        blocks[pc] = b - 1
+                        self.steps = steps
+                        try:
+                            pc = self._run_cold(ops, pc, locals_)
+                        finally:
+                            steps = self.steps
+
+                    # the op that ends the block
+                    op_imm = ops[pc]
+                    op = op_imm[0]
+                    pc += 1
+                    steps += 1
+                    if op == "call" or op == "call_indirect":
+                        if op == "call":
+                            callee = inst.funcs[op_imm[1]]
+                        else:
+                            callee = self._resolve_indirect(stack.pop(),
+                                                            op_imm[1])
+                        frame[1] = pc
+                        if callee.__class__ is HostFunc:
+                            self.steps = steps
+                            try:
+                                self._call_host(callee)
+                            finally:
+                                steps = self.steps
+                            mem = inst.memory  # a host call may grow it
+                            data = mem.data if mem is not None else None
+                            continue
+                        ccode = callee.code
+                        if len(frames) >= self.max_frames:
+                            raise TrapStackExhausted(f"{len(frames)} frames")
+                        n = ccode.n_params
+                        if n:
+                            args = stack[len(stack) - n:]
+                            del stack[len(stack) - n:]
+                            args += ccode.local_zeros
+                        else:
+                            args = ccode.local_zeros[:]
+                        frames.append([ccode, 0, args, len(stack)])
+                        break  # continue in the callee's frame
+                    if op == "ret":
+                        base = frame[3]
+                        if code.n_results:
+                            result = stack[-1]
+                            del stack[base:]
+                            stack.append(result)
+                        else:
+                            del stack[base:]
+                        frames.pop()
+                        break
+                    if op == "br_if":
+                        if stack.pop():
+                            _, pc, arity, height, *_ = op_imm
+                            _unwind(stack, frame[3] + height, arity)
+                        continue
+                    if op == "jump":
+                        _, pc, arity, height, *_ = op_imm
+                        _unwind(stack, frame[3] + height, arity)
+                        continue
+                    if op == "if_false":
+                        if not stack.pop():
+                            pc = op_imm[1]
+                        continue
+                    if op == "poll":
+                        hook = self.poll_hook
+                        if hook is not None:
+                            frame[1] = pc
+                            self.steps = steps
+                            try:
+                                hook()
+                            finally:
+                                steps = self.steps
+                            mem = inst.memory
+                            data = mem.data if mem is not None else None
+                        continue
+                    if op == "br_table":
+                        entries = op_imm[1]
+                        idx = min(stack.pop(), len(entries) - 1)
+                        pc, arity, height = entries[idx]
+                        _unwind(stack, frame[3] + height, arity)
+                        continue
+                    if op == "memory.grow":
+                        stack.append(mem.grow(stack.pop()) & MASK32)
+                        continue
+                    if op in _ATOMICS:
+                        _ATOMICS[op](stack, mem, op_imm[1])
+                        continue
+                    if op == "unreachable":
+                        frame[1] = pc - 1
+                        raise TrapUnreachable(code.name)
+                    raise Trap("bad-instruction", f"{op!r} in {code.name}")
+            self.steps = steps
+        except BaseException:
+            self.steps = steps
+            raise
+
+    def _run_cold(self, ops: list, pc: int, locals_: list) -> int:
+        """Run a block that is not hot yet op by op, from ``pc`` up to the
+        op that ends it; returns that op's pc.  Counts each op into
+        ``self.steps`` before it runs, as the reference loop does, so a
+        trap leaves the count exact."""
+        stack = self.stack
+        mem = self.instance.memory
+        globals_ = self.instance.globals
+        while True:
+            op_imm = ops[pc]
+            op = op_imm[0]
+            pc += 1
+            self.steps += 1
+            if op == "local.get":
+                stack.append(locals_[op_imm[1]])
+                continue
+            if op == "const":
+                stack.append(op_imm[1])
+                continue
+            h = ARITH.get(op)
+            if h is not None:
+                h(stack)
+                continue
+            if op == "local.set":
+                locals_[op_imm[1]] = stack.pop()
+                continue
+            if op == "local.tee":
+                locals_[op_imm[1]] = stack[-1]
+                continue
+            if op in _LOADS:
+                nbytes, signed, mask = _LOADS[op]
+                addr = stack.pop() + op_imm[1]
+                if signed:
+                    stack.append(mem.load_s(addr, nbytes) & mask)
+                else:
+                    stack.append(mem.load_u(addr, nbytes))
+                continue
+            if op in _STORES:
+                val = stack.pop()
+                addr = stack.pop() + op_imm[1]
+                mem.store_int(addr, val, _STORES[op])
+                continue
+            if op == "global.get":
+                stack.append(globals_[op_imm[1]].value)
+                continue
+            if op == "global.set":
+                globals_[op_imm[1]].value = stack.pop()
+                continue
+            if op == "drop":
+                stack.pop()
+                continue
+            if op == "select":
+                c = stack.pop()
+                other = stack.pop()
+                if not c:
+                    stack[-1] = other
+                continue
+            if op == "f64.load":
+                stack.append(mem.load_f64(stack.pop() + op_imm[1]))
+                continue
+            if op == "f64.store":
+                val = stack.pop()
+                mem.store_f64(stack.pop() + op_imm[1], val)
+                continue
+            if op == "memory.size":
+                stack.append(mem.pages)
+                continue
+            if op == "memory.copy":
+                n = stack.pop(); src = stack.pop(); dst = stack.pop()
+                mem.copy(dst, src, n)
+                continue
+            if op == "memory.fill":
+                n = stack.pop(); val = stack.pop(); dst = stack.pop()
+                mem.fill(dst, val, n)
+                continue
+            # not a block op: the caller runs it
+            self.steps -= 1
+            return pc - 1
+
+    def _run_ops(self, min_depth: int) -> None:
+        """The reference loop: one op per iteration, ``steps`` and ``fuel``
+        checked on every op."""
         stack = self.stack
         frames = self.frames
         inst = self.instance
@@ -416,27 +718,13 @@ class Machine:
                     mem.store_f64(stack.pop() + op_imm[1], val)
                     continue
                 if op == "jump":
-                    _, target, arity, height, *_ = op_imm
-                    base = frame[3]
-                    if arity:
-                        keep = stack[len(stack) - arity:]
-                        del stack[base + height:]
-                        stack.extend(keep)
-                    else:
-                        del stack[base + height:]
-                    pc = target
+                    _, pc, arity, height, *_ = op_imm
+                    _unwind(stack, frame[3] + height, arity)
                     continue
                 if op == "br_if":
                     if stack.pop():
-                        _, target, arity, height, *_ = op_imm
-                        base = frame[3]
-                        if arity:
-                            keep = stack[len(stack) - arity:]
-                            del stack[base + height:]
-                            stack.extend(keep)
-                        else:
-                            del stack[base + height:]
-                        pc = target
+                        _, pc, arity, height, *_ = op_imm
+                        _unwind(stack, frame[3] + height, arity)
                     continue
                 if op == "if_false":
                     if not stack.pop():
@@ -447,15 +735,8 @@ class Machine:
                     idx = stack.pop()
                     if idx >= len(entries) - 1:
                         idx = len(entries) - 1
-                    target, arity, height = entries[idx]
-                    base = frame[3]
-                    if arity:
-                        keep = stack[len(stack) - arity:]
-                        del stack[base + height:]
-                        stack.extend(keep)
-                    else:
-                        del stack[base + height:]
-                    pc = target
+                    pc, arity, height = entries[idx]
+                    _unwind(stack, frame[3] + height, arity)
                     continue
                 if op == "call":
                     callee = inst.funcs[op_imm[1]]
@@ -511,23 +792,8 @@ class Machine:
                     a = stack.pop()
                     stack.append(a if c else b)
                     continue
-                if op == "i32.atomic.rmw.add":
-                    val = stack.pop()
-                    addr = stack.pop() + op_imm[1]
-                    with _ATOMIC_LOCK:
-                        old = mem.load_i32(addr)
-                        mem.store_i32(addr, old + val)
-                    stack.append(old)
-                    continue
-                if op == "i32.atomic.rmw.cmpxchg":
-                    new = stack.pop()
-                    expected = stack.pop()
-                    addr = stack.pop() + op_imm[1]
-                    with _ATOMIC_LOCK:
-                        old = mem.load_i32(addr)
-                        if old == expected:
-                            mem.store_i32(addr, new)
-                    stack.append(old)
+                if op in _ATOMICS:
+                    _ATOMICS[op](stack, mem, op_imm[1])
                     continue
                 if op == "memory.size":
                     stack.append(mem.pages)

@@ -52,6 +52,9 @@ class Function:
     locals: List[str] = field(default_factory=list)  # extra locals, after params
     body: List[tuple] = field(default_factory=list)
     name: str = ""  # debug only
+    # code derived from this module (compiled functions), keyed by its
+    # producer; passes that rewrite the module in place clear it
+    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -87,6 +90,9 @@ class Module:
     elems: List[ElemSegment] = field(default_factory=list)
     datas: List[DataSegment] = field(default_factory=list)
     name: str = ""  # debug only
+    # code derived from this module (compiled functions), keyed by its
+    # producer; passes that rewrite the module in place clear it
+    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     # ---- index-space helpers (imports precede definitions) ----
 

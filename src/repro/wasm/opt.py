@@ -100,4 +100,5 @@ def gc_functions(m: Module) -> Module:
         m.start = remap[m.start]
     for seg in m.elems:
         seg.func_idxs = [remap[fi] for fi in seg.func_idxs]
+    m.derived.clear()  # compiled code holds the old function indices
     return m

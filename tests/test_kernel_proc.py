@@ -248,6 +248,19 @@ class TestIdentityAndLimits:
         p1, p2 = k1.create_process(), k2.create_process()
         assert k1.call(p1, "getrandom", 16) == k2.call(p2, "getrandom", 16)
 
+    def test_getrandom_caps_one_call_like_linux(self):
+        from repro.kernel.calls.misc import GETRANDOM_MAX
+
+        k = Kernel(rng_seed=1)
+        p = k.create_process()
+        assert GETRANDOM_MAX == 2**25 - 1
+        assert len(k.call(p, "getrandom", 2**31)) == GETRANDOM_MAX
+        assert len(k.call(p, "getrandom", 5)) == 5
+        assert k.call(p, "getrandom", 0) == b""
+        with pytest.raises(KernelError) as ei:
+            k.call(p, "getrandom", -1)
+        assert ei.value.errno == EINVAL
+
 
 class TestFutex:
     def test_wait_value_mismatch_eagain(self, k, proc):

@@ -616,6 +616,36 @@ export func _start() {
         assert status == 1
 
 
+class TestGetrandomViaWali:
+    def test_fills_the_guest_buffer_from_the_seeded_stream(self):
+        from repro.kernel import Kernel
+
+        rt = WaliRuntime(kernel=Kernel(rng_seed=9))
+        rt, wp, status = run_guest(r"""
+export func _start() {
+    exit(cret(SYS_getrandom(__io_buf, 24, 0)));
+}
+""", runtime=rt)
+        assert status == 24
+        ref = Kernel(rng_seed=9)
+        want = ref.call(ref.create_process(), "getrandom", 24)
+        assert want in bytes(wp.instance.memory.data)
+
+    def test_bad_range_is_efault_before_any_byte_is_made(self):
+        rt, wp, status = run_guest(r"""
+export func _start() {
+    // 2**31 bytes at a valid pointer, then a pointer past the end
+    var a: i32 = cret(SYS_getrandom(__io_buf, 0 - 2147483647 - 1, 0));
+    var ea: i32 = errno;
+    var b: i32 = cret(SYS_getrandom(0 - 16, 8, 0));
+    if (a == 0 - 1 && b == 0 - 1 && errno == ea) { exit(ea); }
+    exit(1);
+}
+""")
+        assert status == 14  # EFAULT
+        assert rt.kernel.syscall_counts["getrandom"] == 0
+
+
 class TestSupportCalls:
     def test_argv_passed_through_libc(self):
         rt, wp, status = run_guest(r"""

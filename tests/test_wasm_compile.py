@@ -234,3 +234,33 @@ def test_differential_division(a, b, op):
     except Trap as exc:
         e2 = exc.kind
     assert (r1, e1) == (r2, e2)
+
+
+def test_non_finite_f64_constants_compile():
+    mb = ModuleBuilder("inf")
+    f = mb.func("f", params=[F64], results=[F64], export=True)
+    f.f64_const(float("-inf")).local_get(0).op("f64.max")
+    f.f64_const(float("nan")).op("f64.add")
+    f.f64_const(float("inf")).op("f64.min")
+    f.end()
+    interp, compiled = both_tiers(mb.build())
+    for x in (1.5, float("inf")):
+        assert repr(interp(x)) == repr(compiled(x))
+
+
+def test_compiled_code_is_cached_per_module_until_gc():
+    from repro.wasm.compile import compile_module
+    from repro.wasm.opt import gc_functions
+
+    mb = ModuleBuilder("cache")
+    g = mb.func("unused", params=[I32], results=[I32])
+    g.local_get(0).end()
+    f = mb.func("f", params=[I32], results=[I32], export=True)
+    f.local_get(0).i32_const(1).op("i32.add").end()
+    module = mb.build()
+    codes = compile_module(module)
+    assert compile_module(module) is codes
+    gc_functions(module)          # renumbers f: the cache must go
+    assert compile_module(module) is not codes
+    interp, compiled = both_tiers(module)
+    assert interp(41) == compiled(41) == 42
