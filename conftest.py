@@ -27,3 +27,33 @@ def wan_seed(request):
     pattern can always be replayed exactly by re-running the test.
     """
     return zlib.crc32(request.node.nodeid.encode())
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "allow_lost_wakeups: the test provokes a lost wakeup "
+        "on purpose, so no_lost_wakeups does not check it")
+
+
+@pytest.fixture
+def no_lost_wakeups(request, monkeypatch):
+    """Fail a test if any kernel it built counted ``sched.lost_wakeups``:
+    a blocked task slept out its safety slice and then found its wait
+    condition true, so some wake source changed state without kicking
+    it.  The blocking suites apply this through ``pytestmark``."""
+    from repro.kernel.kernel import Kernel
+
+    kernels = []
+    init = Kernel.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        kernels.append(self)
+
+    monkeypatch.setattr(Kernel, "__init__", tracking_init)
+    yield
+    if request.node.get_closest_marker("allow_lost_wakeups"):
+        return
+    lost = [k.trace.counters.get("sched.lost_wakeups") for k in kernels
+            if k.trace is not None]
+    assert not any(lost), f"lost wakeups per kernel: {lost}"

@@ -63,7 +63,6 @@ from .sched import (
     BackgroundSpinners, SCHED_BLOCKED, SCHED_DEAD, SCHED_NEW, SCHED_RUNNABLE,
     SCHED_RUNNING, SchedEntity, Scheduler, create_scheduler, nice_to_weight,
 )
-from .sockets import NetStack
 from .trace import (
     CounterRegistry, KernelTrace, TRACE_RECORD_SIZE, TRACE_SCHEMAS,
     TRACEPOINTS, TraceBuffer, TraceRecord, TypedTraceRecord, create_trace,
@@ -121,7 +120,7 @@ __all__ = [
     "HostBackend", "Inode", "Kernel", "KernelError",
     "LEGACY_EQUIVALENTS", "LoopbackBackend", "MAP_ANONYMOUS", "MAP_FIXED",
     "MAP_PRIVATE",
-    "MAP_SHARED", "MREMAP_MAYMOVE", "NSIG", "NetBackend", "NetStack",
+    "MAP_SHARED", "MREMAP_MAYMOVE", "NSIG", "NetBackend",
     "O_APPEND", "PacketTap",
     "O_CLOEXEC", "O_CREAT", "O_EXCL", "O_NONBLOCK", "O_RDONLY", "O_RDWR",
     "O_TRUNC", "O_WRONLY", "OpenFile", "PROT_EXEC", "PROT_NONE", "PROT_READ",

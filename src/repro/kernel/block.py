@@ -61,7 +61,6 @@ import zlib
 from typing import Dict, List, Optional, Set
 
 from .errno import EINVAL, ENOSPC, KernelError
-from .eventpoll import EPOLLIN, ProcNotifier, WaitQueue
 from .vfs import CharDevice, Inode, S_IFREG
 
 BLOCKFS_MAGIC = "repro-blockfs-1"
@@ -382,7 +381,6 @@ class BlockFS:
         self._lock = threading.RLock()
         self._disk_lock = threading.Lock()
         self._busy_until_ns = 0
-        self.ioq = WaitQueue()          # I/O completion waitqueue
         self._inodes: Dict[int, Inode] = {}   # ino -> inode (registry)
         self._free: List[int] = []
         self._pending_free: List[int] = []
@@ -442,8 +440,8 @@ class BlockFS:
 
         With a kernel/proc the wait is a schedule point
         (:meth:`~repro.kernel.sched.Scheduler.sleep` releases the CPU
-        slot, a :class:`ProcNotifier` on ``ioq`` delivers early wakes);
-        the writeback daemon settles with plain sleeps.  The wait is
+        slot; an early wake only sleeps again until the deadline); the
+        writeback daemon settles with plain sleeps.  The wait is
         uninterruptible, like a task in D state.
         """
         ns = self.take_pending()
@@ -460,19 +458,13 @@ class BlockFS:
             if rem > 0:
                 _time.sleep(rem / 1e9)
         else:
-            notifier = ProcNotifier(proc)
-            self.ioq.subscribe(notifier)
-            try:
-                while True:
-                    rem = end - _time.monotonic_ns()
-                    if rem <= 0:
-                        break
-                    kernel.sched.sleep(proc, rem / 1e9, notifier)
-            finally:
-                self.ioq.unsubscribe(notifier)
+            while True:
+                rem = end - _time.monotonic_ns()
+                if rem <= 0:
+                    break
+                kernel.sched.sleep(proc, rem / 1e9)
         self._count("block.io_wait_ns", _time.monotonic_ns() - waited0)
         self._emit("block_complete", arg=ns)
-        self.ioq.wake(EPOLLIN)
 
     # ------------------------------------------------------------------
     # raw device access (cost + counters + tracepoints)

@@ -125,8 +125,8 @@ class EventCalls:
         if sigmask is not None:
             proc.blocked_mask = sigmask
         try:
-            return self.block_on_waitqueues(
-                proc, [ep.wq], lambda: ep.wait_step(maxevents),
+            return self.wait_event(
+                proc, lambda: ep.wait_step(maxevents), (ep.wq,),
                 timeout_ns=timeout_ns, empty=list)
         finally:
             if sigmask is not None:

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..errno import (
-    EACCES, EBADF, EEXIST, EINVAL, EISDIR, ELOOP, ENOENT, ENOSYS, ENOTDIR,
-    ENOTEMPTY, ENOTTY, EPERM, ESPIPE, KernelError,
+    EACCES, EBADF, EEXIST, EFBIG, EINVAL, EISDIR, ELOOP, ENOENT, ENOSYS,
+    ENOTDIR, ENOTEMPTY, ENOTTY, EPERM, ESPIPE, KernelError,
 )
 from ..fdtable import (
     F_DUPFD, F_DUPFD_CLOEXEC, F_GETFD, F_GETFL, F_SETFD, F_SETFL, FD_CLOEXEC,
@@ -160,11 +160,10 @@ class FSCalls:
         if not file.readable_mode:
             raise KernelError(EBADF, "fd not open for reading")
         data = self._blocking_io(proc, file, lambda: file.read(length))
-        if file.kind == OpenFile.KIND_REG:
-            self.storage_charge(len(data))
-            if file.flags & O_DIRECT and file.inode is not None \
-                    and file.inode.mapping is not None:
-                file.inode.mapping.evict_clean()  # bypass the page cache
+        if file.kind == OpenFile.KIND_REG and file.flags & O_DIRECT \
+                and file.inode is not None \
+                and file.inode.mapping is not None:
+            file.inode.mapping.evict_clean()  # bypass the page cache
         return data
 
     def sys_write(self, proc: Process, fd: int, data) -> int:
@@ -175,12 +174,11 @@ class FSCalls:
         total = 0
         while total < len(data):
             n = self._blocking_io(
-                proc, file, lambda: file.write(data[total:]), on_pipe_full=True)
+                proc, file, lambda: file.write(data[total:]))
             total += n
             if file.kind not in (OpenFile.KIND_PIPE_W, OpenFile.KIND_SOCK):
                 break  # regular files/devices write everything in one step
         if file.kind == OpenFile.KIND_REG:
-            self.storage_charge(total)
             self._write_through(file)
         return total
 
@@ -190,7 +188,6 @@ class FSCalls:
         if not file.readable_mode:
             raise KernelError(EBADF)
         data = file.pread(length, offset)
-        self.storage_charge(len(data))
         if file.kind == OpenFile.KIND_REG and file.flags & O_DIRECT \
                 and file.inode is not None \
                 and file.inode.mapping is not None:
@@ -202,7 +199,6 @@ class FSCalls:
         if not file.writable_mode:
             raise KernelError(EBADF)
         n = file.pwrite(bytes(data), offset)
-        self.storage_charge(n)
         if file.kind == OpenFile.KIND_REG:
             self._write_through(file)
         return n
@@ -504,17 +500,29 @@ class FSCalls:
 
     def sys_truncate(self, proc: Process, path: str, length: int) -> int:
         node = self.vfs.resolve(path, proc.cwd or self.vfs.root, proc=proc)
-        if not node.is_file:
+        if node.is_dir:
             raise KernelError(EISDIR, path)
-        node.truncate(length)
+        self._truncate(proc, node, length)
         return 0
 
     def sys_ftruncate(self, proc: Process, fd: int, length: int) -> int:
         file = proc.fdtable.get(fd)
         if file.kind != OpenFile.KIND_REG:
             raise KernelError(EINVAL)
-        file.inode.truncate(length)
+        self._truncate(proc, file.inode, length)
         return 0
+
+    def _truncate(self, proc: Process, node, length: int) -> None:
+        """Resize a regular file: EINVAL for a negative length or a node
+        without data (devices, /proc files), EFBIG past the file's size
+        cap or the caller's RLIMIT_FSIZE."""
+        if length < 0 or node.data is None:
+            raise KernelError(EINVAL, "cannot truncate")
+        fsize = proc.getrlimit(RLIMIT_FSIZE)[0]
+        if (node.fs_limit is not None and length > node.fs_limit) or \
+                (fsize != RLIM_INFINITY and length > fsize):
+            raise KernelError(EFBIG, "file size limit exceeded")
+        node.truncate(length)
 
     def sys_umask(self, proc: Process, mask: int) -> int:
         old = proc.umask
@@ -654,9 +662,9 @@ class FSCalls:
                     out.append((fd, revents))
             return out or None  # None = keep blocking
 
-        return self.block_on_waitqueues(
-            proc, self._poll_waitqueues(proc, [fd for fd, _ in fds]),
-            scan, timeout_ns=timeout_ns, empty=list)
+        return self.wait_event(
+            proc, scan, self._poll_waitqueues(proc, [fd for fd, _ in fds]),
+            timeout_ns=timeout_ns, empty=list)
 
     def sys_poll(self, proc: Process, fds, timeout_ms: int):
         timeout_ns = None if timeout_ms < 0 else timeout_ms * 1_000_000
@@ -686,9 +694,9 @@ class FSCalls:
                 return r_ready, w_ready
             return None
 
-        return self.block_on_waitqueues(
-            proc, self._poll_waitqueues(proc, list(rfds) + list(wfds)),
-            scan, timeout_ns=timeout_ns, empty=lambda: ([], []))
+        return self.wait_event(
+            proc, scan, self._poll_waitqueues(proc, list(rfds) + list(wfds)),
+            timeout_ns=timeout_ns, empty=lambda: ([], []))
 
     def sys_select(self, proc, rfds, wfds, timeout_ns=None):
         return self.sys_pselect6(proc, rfds, wfds, timeout_ns)

@@ -69,8 +69,8 @@ class MiscCalls:
     def sys_nanosleep(self, proc: Process, duration_ns: int) -> int:
         if duration_ns < 0:
             raise KernelError(EINVAL, "negative sleep")
-        self.block_until(proc, lambda: None, timeout_ns=duration_ns,
-                         empty=lambda: 0)
+        self.wait_event(proc, lambda: None, timeout_ns=duration_ns,
+                        empty=lambda: 0)
         return 0
 
     def sys_clock_nanosleep(self, proc: Process, clock_id: int, flags: int,

@@ -69,8 +69,7 @@ class NetCalls:
         total = 0
         while total < len(data):
             n = self._blocking_io(proc, file,
-                                  lambda: sock.send_step(data[total:]),
-                                  on_pipe_full=True)
+                                  lambda: sock.send_step(data[total:]))
             total += n
         return total
 

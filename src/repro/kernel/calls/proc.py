@@ -7,8 +7,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..errno import (
-    EAGAIN, ECHILD, EDEADLK, EINTR, EINVAL, ENOSYS, EPERM, ESRCH,
-    ETIMEDOUT, KernelError,
+    EAGAIN, ECHILD, EDEADLK, EINVAL, ENOSYS, EPERM, ESRCH, KernelError,
 )
 from ..process import (
     CLONE_FILES, CLONE_FS, CLONE_SIGHAND, CLONE_THREAD, CLONE_VM, CSIGNAL,
@@ -133,13 +132,11 @@ class ProcCalls:
         if parent is not None:
             if proc.exit_signal:
                 parent.generate_signal(proc.exit_signal)
-            with parent.wake:
-                parent.wake.notify_all()
+            parent.kick()
         if proc.is_thread:
             # threads are auto-reaped; nothing waits on them via wait4
             self.reap(proc.pid)
-        with proc.wake:
-            proc.wake.notify_all()
+        proc.kick()
 
     def _fdtable_shared(self, proc: Process) -> bool:
         return any(p.fdtable is proc.fdtable and p.pid != proc.pid
@@ -186,7 +183,7 @@ class ProcCalls:
             if child is None:
                 return 0, 0, None
         else:
-            child = self.block_until(proc, scan)
+            child = self.wait_event(proc, scan)
         proc.children.remove(child.pid)
         status = child.exit_status
         rusage = child.rusage
@@ -468,8 +465,7 @@ class ProcCalls:
             st["waiters"].remove(new_owner)
             st["owner"] = new_owner
             self._pi_refresh_boost(new_owner)
-            with new_owner.wake:
-                new_owner.wake.notify_all()
+            new_owner.kick()
         else:
             st["owner"] = None
             self.futex_pi.pop(key, None)
@@ -505,10 +501,7 @@ class ProcCalls:
                 return True if entry not in waiters else None
 
             try:
-                self.block_until(proc, scan, timeout_ns=timeout_ns,
-                                 empty=lambda: (_ for _ in ()).throw(
-                                     KernelError(ETIMEDOUT,
-                                                 "futex timeout")))
+                self.wait_event(proc, scan, timeout_ns=timeout_ns)
             finally:
                 with self.futex_lock:
                     if entry in waiters:
@@ -523,8 +516,7 @@ class ProcCalls:
                 for entry in picked:
                     waiters.remove(entry)
             for _, waiter in picked:
-                with waiter.wake:
-                    waiter.wake.notify_all()
+                waiter.kick()
             return len(picked)
         if base_op == FUTEX_LOCK_PI:
             with self.futex_lock:
@@ -542,7 +534,7 @@ class ProcCalls:
                 return True if st["owner"] is proc else None
 
             try:
-                self.block_until(proc, owned, timeout_ns=timeout_ns)
+                self.wait_event(proc, owned, timeout_ns=timeout_ns)
             except KernelError:
                 with self.futex_lock:
                     # the unlocker may have handed us the futex between

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..errno import EAGAIN, EINVAL, EPERM, KernelError
+from ..errno import EAGAIN, EINVAL, EPERM, ETIMEDOUT, KernelError
 from ..process import Process
 from ..signals import (
     NSIG, SIG_BLOCK, SIG_SETMASK, SIG_UNBLOCK, SIGKILL, SIGSTOP, SigAction,
@@ -54,13 +54,13 @@ class SigCalls:
         saved = proc.blocked_mask
         proc.blocked_mask = mask & ~(sig_bit(SIGKILL) | sig_bit(SIGSTOP))
         try:
-            self.block_until(proc, lambda: None)  # only a signal can wake us
+            self.wait_event(proc, lambda: None)  # only a signal ends it
         finally:
             proc.blocked_mask = saved
-        return 0  # unreachable: block_until raises EINTR on signal
+        return 0  # unreachable: wait_event raises EINTR on signal
 
     def sys_pause(self, proc: Process) -> int:
-        self.block_until(proc, lambda: None)
+        self.wait_event(proc, lambda: None)
         return 0  # unreachable
 
     def sys_sigaltstack(self, proc: Process, ss=None) -> int:
@@ -83,6 +83,9 @@ class SigCalls:
                     return sig
             return None
 
-        return self.block_until(proc, scan, timeout_ns=timeout_ns,
-                                empty=lambda: (_ for _ in ()).throw(
-                                    KernelError(EAGAIN, "sigtimedwait timeout")))
+        try:
+            return self.wait_event(proc, scan, timeout_ns=timeout_ns)
+        except KernelError as exc:
+            if exc.errno == ETIMEDOUT:
+                raise KernelError(EAGAIN, "sigtimedwait timeout")
+            raise

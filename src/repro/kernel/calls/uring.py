@@ -81,10 +81,9 @@ class URingCalls:
             return n
 
         if min_complete > 0 and _avail() < min_complete:
-            self.block_on_waitqueues(
-                proc, [ring.wq],
-                lambda: True if _avail() >= min_complete else None,
-                timeout_ns=timeout_ns, empty=lambda: True)
+            self.wait_event(
+                proc, lambda: True if _avail() >= min_complete else None,
+                (ring.wq,), timeout_ns=timeout_ns, empty=lambda: True)
         limit = ring.cq_entries if max_cqes is None else max(0, max_cqes)
         return submitted, ring.reap(limit)
 

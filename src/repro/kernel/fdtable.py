@@ -44,7 +44,7 @@ class Pipe:
         self.capacity = capacity
         self.readers = 0
         self.writers = 0
-        self.cond = threading.Condition()
+        self.lock = threading.RLock()
         # shared readiness queue for both ends (see kernel/eventpoll.py)
         self.wq = WaitQueue()
 
@@ -114,14 +114,12 @@ class OpenFile:
                              IN_CLOSE_WRITE if self.writable_mode
                              else IN_CLOSE_NOWRITE)
         if self.kind == self.KIND_PIPE_R:
-            with self.pipe.cond:
+            with self.pipe.lock:
                 self.pipe.readers -= 1
-                self.pipe.cond.notify_all()
             self.pipe.wq.wake(EPOLLOUT | EPOLLERR)
         elif self.kind == self.KIND_PIPE_W:
-            with self.pipe.cond:
+            with self.pipe.lock:
                 self.pipe.writers -= 1
-                self.pipe.cond.notify_all()
             self.pipe.wq.wake(EPOLLIN | EPOLLHUP)
         elif self.kind == self.KIND_SOCK and self.sock is not None:
             self.sock.close()
@@ -165,15 +163,15 @@ class OpenFile:
             return self.inode.device.read(length)
         if self.kind == self.KIND_PIPE_R:
             pipe = self.pipe
-            with pipe.cond:
-                if pipe.buf:
-                    out = bytes(pipe.buf[:length])
-                    del pipe.buf[:length]
-                    pipe.cond.notify_all()
-                    return out
-                if pipe.writers == 0:
-                    return b""
-                raise KernelError(EAGAIN, "pipe empty")
+            with pipe.lock:
+                if not pipe.buf:
+                    if pipe.writers == 0:
+                        return b""
+                    raise KernelError(EAGAIN, "pipe empty")
+                out = bytes(pipe.buf[:length])
+                del pipe.buf[:length]
+            pipe.wq.wake(EPOLLOUT)  # space freed for a blocked writer
+            return out
         if self.kind == self.KIND_SOCK:
             return self.sock.recv_step(length)
         if self.kind in (self.KIND_EVENTFD, self.KIND_TIMERFD):
@@ -209,7 +207,7 @@ class OpenFile:
             return self.inode.device.write(bytes(buf))
         if self.kind == self.KIND_PIPE_W:
             pipe = self.pipe
-            with pipe.cond:
+            with pipe.lock:
                 if pipe.readers == 0:
                     raise KernelError(EPIPE, "no readers")
                 space = pipe.capacity - len(pipe.buf)
@@ -217,8 +215,8 @@ class OpenFile:
                     raise KernelError(EAGAIN, "pipe full")
                 chunk = bytes(buf[:space])
                 pipe.buf.extend(chunk)
-                pipe.cond.notify_all()
-                return len(chunk)
+            pipe.wq.wake(EPOLLIN)  # data for a blocked reader
+            return len(chunk)
         if self.kind == self.KIND_SOCK:
             return self.sock.send_step(bytes(buf))
         if self.kind == self.KIND_EVENTFD:

@@ -5,14 +5,14 @@ methods named ``sys_<name>`` (provided by the mixins in
 :mod:`repro.kernel.calls`); :meth:`Kernel.call` dispatches by name, counts
 invocations (Fig. 2), and accounts kernel time per thread group (Fig. 7).
 
-Blocking syscalls are schedule points: they park the task off the run
-queue through :meth:`repro.kernel.sched.Scheduler.sleep` (releasing its
-CPU slot for the duration), and every blocking loop re-checks for
-deliverable signals on wakeup, so signal generation interrupts syscalls
-with ``EINTR`` exactly like Linux.  ``Kernel.call`` itself acquires a
-CPU slot on entry and honors preemption on exit, so syscall latency
-under load includes *runnable-wait* (contention), accounted separately
-in ``sched_wait_ns``.
+Blocking syscalls are schedule points: they wait in
+:meth:`Kernel.wait_event`, which parks the task off the run queue through
+:meth:`repro.kernel.sched.Scheduler.sleep` (releasing its CPU slot for
+the duration) and re-checks for deliverable signals on every wakeup, so
+signal generation interrupts syscalls with ``EINTR`` exactly like Linux.
+``Kernel.call`` itself acquires a CPU slot on entry and honors
+preemption on exit, so syscall latency under load includes
+*runnable-wait* (contention), accounted separately in ``sched_wait_ns``.
 """
 
 from __future__ import annotations
@@ -30,23 +30,16 @@ from .calls import (
 )
 from . import procfs
 from .errno import EAGAIN, EINTR, ENOSYS, EPIPE, ETIMEDOUT, KernelError
-from .eventpoll import ProcNotifier
-from .fdtable import FDTable, OpenFile
+from .fdtable import OpenFile
 from .process import Process, STATE_RUNNING
 from .signals import SIGPIPE
 from .vfs import (
-    Inode, NullDevice, O_RDWR, RandomDevice, S_IFCHR, TTYDevice, VFS,
-    ZeroDevice,
+    NullDevice, O_RDWR, RandomDevice, TTYDevice, VFS, ZeroDevice,
 )
 
-_BLOCK_SLICE_S = 0.002  # blocking syscalls re-check readiness every 2 ms
-# with waitqueue notifiers subscribed, wakeups are event-driven; the slice
-# is only a lost-wakeup safety net and can be much coarser
-_WQ_SLICE_S = 0.05
-
-
-class _TimedOut(Exception):
-    pass
+# wakeups are event-driven (Process.kick); a blocked task still re-checks
+# its condition once per slice, the safety net against a lost wakeup
+_SAFETY_SLICE_S = 0.05
 
 
 class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
@@ -55,7 +48,6 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
 
     def __init__(self, machine: str = X86_64, ncpus: int = 4,
                  rng_seed: int = 0xC0FFEE,
-                 storage_latency_ns_per_4k: int = 0,
                  net_backend=None, sched=None, trace=None, block=None):
         from .block import create_blockfs
         from .net import create_backend
@@ -65,11 +57,6 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
 
         self.machine = machine
         self.ncpus = ncpus
-        # storage device model: simulated latency per 4 KiB of regular-file
-        # I/O (0 = infinitely fast in-memory storage).  Used by benchmarks
-        # so I/O-heavy workloads show realistic kernel-time shares (the
-        # paper's testbed has real disks; see DESIGN.md substitutions).
-        self.storage_latency_ns_per_4k = storage_latency_ns_per_4k
         self.vfs = VFS()
         # kernel observability (kernel/trace.py): tracepoints, the shared
         # counter registry, and per-syscall latency histograms.  Specs:
@@ -106,8 +93,6 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         self.blocked_time_ns: Dict[int, int] = defaultdict(int)
         # runnable-but-waiting-for-a-CPU time (pure contention; ~0 idle)
         self.sched_wait_ns: Dict[int, int] = defaultdict(int)
-        self.trace_hooks: List[Callable] = []
-        self.trace_log: Optional[list] = None  # set to [] to record calls
 
         # CPU model: a run queue with `ncpus` slots and time slices; spec
         # strings ("cpus=1,slice_us=50", "off") or a Scheduler instance
@@ -260,8 +245,6 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
             dt = _time.perf_counter_ns() - t0
             self.syscall_counts[name] += 1
             self.proc_syscall_counts[tgid][name] += 1
-            self.kernel_time_ns[tgid] += dt
-            proc.rusage.stime_ns += dt
             if trace is not None:
                 wait = self.sched_wait_ns.get(tgid, 0) - w0
                 trace.record_syscall(name, dt - wait, wait)
@@ -271,10 +254,11 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
             perf = self.perf
             if perf.active:
                 perf.on_syscall(proc)
-            if self.trace_log is not None:
-                self.trace_log.append((proc.pid, name))
-            for hook in self.trace_hooks:
-                hook(proc, name, dt)
+            # the epilogue above is kernel work too: book it with the
+            # call, not to the caller's (WALI) layer
+            spent = _time.perf_counter_ns() - t0
+            self.kernel_time_ns[tgid] += spent
+            proc.rusage.stime_ns += spent
 
     def has_syscall(self, name: str) -> bool:
         return hasattr(self, f"sys_{name}")
@@ -283,65 +267,45 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
         return sorted(n[4:] for n in dir(self) if n.startswith("sys_"))
 
     # ------------------------------------------------------------------
-    # blocking machinery
+    # blocking
     # ------------------------------------------------------------------
 
-    def block_until(self, proc: Process, scan: Callable,
-                    timeout_ns: Optional[int] = None,
-                    empty: Optional[Callable] = None):
-        """Run ``scan`` until it returns non-None.
+    def wait_event(self, proc: Process, cond: Callable, wqs=(),
+                   timeout_ns: Optional[int] = None,
+                   empty: Optional[Callable] = None):
+        """Block until ``cond()`` returns non-None and return that value.
 
-        Between scans, the task leaves the run queue and sleeps briefly
-        on the process wake condition (a schedule point: its CPU slot is
-        released while it sleeps).  A deliverable signal interrupts the
-        wait with ``EINTR``; a timeout returns ``empty()`` when
-        provided, else raises ``ETIMEDOUT``.
+        The kernel's one blocking loop.  The wake flag is cleared and
+        ``proc.kick`` subscribed to every waitqueue in ``wqs`` *before*
+        the first ``cond()``, so a wake landing between a failed check
+        and the sleep sets the flag and the sleep returns at once.  Other
+        wake sources (child exit, futex wake, PI hand-off, signals) kick
+        the task directly.  A deliverable signal interrupts with
+        ``EINTR``; a timeout returns ``empty()`` when given, else raises
+        ``ETIMEDOUT``.  The sleep is cut into safety slices: a slice that
+        runs out unkicked and is followed by a successful ``cond()`` was
+        a lost wakeup, counted in ``sched.lost_wakeups``.
         """
-        deadline = None
-        if timeout_ns is not None:
-            deadline = _time.monotonic_ns() + timeout_ns
-        while True:
-            result = scan()
-            if result is not None:
-                return result
-            if proc.has_deliverable_signal() or proc.state != STATE_RUNNING:
-                raise KernelError(EINTR, "interrupted by signal")
-            wait_s = _BLOCK_SLICE_S
-            if deadline is not None:
-                remaining = deadline - _time.monotonic_ns()
-                if remaining <= 0:
-                    if empty is not None:
-                        return empty()
-                    raise KernelError(ETIMEDOUT)
-                wait_s = min(wait_s, remaining / 1e9)
-            self.sched.sleep(proc, wait_s)
-
-    def block_on_waitqueues(self, proc: Process, waitqueues, scan: Callable,
-                            timeout_ns: Optional[int] = None,
-                            empty: Optional[Callable] = None):
-        """Like :meth:`block_until`, but woken by readiness waitqueues.
-
-        A :class:`ProcNotifier` is subscribed to every queue in
-        ``waitqueues``; readiness transitions then notify the process wake
-        condition immediately, so there is no per-slice rescan — ``scan``
-        runs once per wakeup (event, signal, or the coarse safety slice).
-        """
-        notifier = ProcNotifier(proc)
-        wqs = [wq for wq in waitqueues if wq is not None]
+        proc.woken = False
+        kick = proc.kick
+        wqs = [wq for wq in wqs if wq is not None]
         for wq in wqs:
-            wq.subscribe(notifier)
+            wq.subscribe(kick)
         deadline = None
         if timeout_ns is not None:
             deadline = _time.monotonic_ns() + timeout_ns
+        slept_out = False
         try:
             while True:
-                result = scan()
+                result = cond()
                 if result is not None:
+                    if slept_out and self.trace is not None:
+                        self.trace.counters.inc("sched.lost_wakeups")
                     return result
                 if proc.has_deliverable_signal() or \
                         proc.state != STATE_RUNNING:
                     raise KernelError(EINTR, "interrupted by signal")
-                wait_s = _WQ_SLICE_S
+                wait_s = _SAFETY_SLICE_S
                 if deadline is not None:
                     remaining = deadline - _time.monotonic_ns()
                     if remaining <= 0:
@@ -349,65 +313,33 @@ class Kernel(FSCalls, ProcCalls, SigCalls, NetCalls, MemCalls, MiscCalls,
                             return empty()
                         raise KernelError(ETIMEDOUT)
                     wait_s = min(wait_s, remaining / 1e9)
-                self.sched.sleep(proc, wait_s, notifier)
+                kicked = self.sched.sleep(proc, wait_s)
+                slept_out = not kicked and wait_s == _SAFETY_SLICE_S
         finally:
             for wq in wqs:
-                wq.unsubscribe(notifier)
+                wq.unsubscribe(kick)
 
-    def _blocking_io(self, proc: Process, file: OpenFile, step: Callable,
-                     on_pipe_full: bool = False):
-        """Retry a non-blocking I/O step until it succeeds.
+    def _blocking_io(self, proc: Process, file: OpenFile, step: Callable):
+        """Run a non-blocking I/O step, waiting while it would block.
 
-        ``EAGAIN`` means "would block": re-raise for O_NONBLOCK files, else
-        wait and retry.  ``EPIPE`` generates SIGPIPE, like Linux.  When the
-        file publishes readiness (sockets, pipes, event fds), a waitqueue
-        notifier wakes the retry loop as soon as the peer makes progress.
+        ``EAGAIN`` means "would block": re-raised for O_NONBLOCK files,
+        else the task waits on the file's waitqueue and retries.
+        ``EPIPE`` generates SIGPIPE, like Linux.
         """
-        notifier = None
-        wq = None
-        try:
-            while True:
-                try:
-                    return step()
-                except KernelError as exc:
-                    if exc.errno == EPIPE:
-                        proc.generate_signal(SIGPIPE)
-                        raise
-                    if exc.errno != EAGAIN:
-                        raise
-                    if file.nonblocking:
-                        raise
-                if proc.has_deliverable_signal() or \
-                        proc.state != STATE_RUNNING:
-                    raise KernelError(EINTR, "interrupted by signal")
-                if notifier is None:
-                    wq = file.wait_queue()
-                    if wq is not None:
-                        notifier = ProcNotifier(proc)
-                        wq.subscribe(notifier)
-                        continue  # readiness may have changed while subscribing
-                self.sched.sleep(
-                    proc,
-                    _WQ_SLICE_S if notifier is not None else _BLOCK_SLICE_S,
-                    notifier)
-        finally:
-            if notifier is not None and wq is not None:
-                wq.unsubscribe(notifier)
+        def cond():
+            try:
+                return step()
+            except KernelError as exc:
+                if exc.errno == EPIPE:
+                    proc.generate_signal(SIGPIPE)
+                elif exc.errno == EAGAIN and not file.nonblocking:
+                    return None
+                raise
 
-    def storage_charge(self, nbytes: int) -> None:
-        """Burn the storage device's simulated service time (kernel time)."""
-        cost = self.storage_latency_ns_per_4k
-        if not cost or nbytes <= 0:
-            return
-        total = cost * ((nbytes + 4095) // 4096)
-        deadline = _time.perf_counter_ns() + total
-        while _time.perf_counter_ns() < deadline:
-            pass
-
-    def notify_all_blocked(self) -> None:
-        for p in list(self.processes.values()):
-            with p.wake:
-                p.wake.notify_all()
+        result = cond()
+        if result is not None:
+            return result
+        return self.wait_event(proc, cond, (file.wait_queue(),))
 
     # ------------------------------------------------------------------
     # console helpers (tests & examples)

@@ -6,8 +6,7 @@ ship in-tree:
 ==========  ==============================================================
 backend     semantics
 ==========  ==============================================================
-loopback    in-process, zero-latency, lossless (the default; historical
-            ``NetStack`` behavior, bit-for-bit)
+loopback    in-process, zero-latency, lossless (the default)
 wan         loopback namespace behind a simulated link: latency, jitter,
             bandwidth cap, probabilistic datagram loss
 host        real host sockets via Python's ``socket`` module (opt-in:

@@ -79,17 +79,16 @@ class LoopbackBackend(NetBackend):
         sock.peer = server_side
         sock.peer_addr = addr
         sock.state = Socket.ST_CONNECTED
-        with listener.cond:
+        with listener.lock:
             if len(listener.backlog) >= listener.backlog_limit:
                 sock.peer = None
                 sock.state = Socket.ST_BOUND if sock.addr else Socket.ST_NEW
                 raise KernelError(ECONNREFUSED, "backlog full")
             listener.backlog.append(server_side)
-            listener.cond.notify_all()
         listener.wq.wake(EPOLLIN)
 
     def accept_step(self, listener: Socket) -> Socket:
-        with listener.cond:
+        with listener.lock:
             if listener.backlog:
                 return listener.backlog.pop(0)
             raise KernelError(EAGAIN, "no pending connections")
@@ -112,7 +111,7 @@ class LoopbackBackend(NetBackend):
     def recvfrom_step(self, sock: Socket, length: int) -> Tuple[bytes, Tuple]:
         if sock.type != SOCK_DGRAM:
             return sock.recv_step(length), sock.peer_addr or ("", 0)
-        with sock.cond:
+        with sock.lock:
             if sock.dgrams:
                 src, data = sock.dgrams.pop(0)
                 return data[:length], src
@@ -141,7 +140,7 @@ class LoopbackBackend(NetBackend):
             if sock.type == SOCK_DGRAM:
                 raise KernelError(ENOTCONN)
             raise KernelError(EPIPE, "send on unconnected/reset socket")
-        with peer.cond:
+        with peer.lock:
             if peer.state == Socket.ST_CLOSED:
                 raise KernelError(EPIPE, "peer closed")
             space = peer.rx.space()
@@ -153,24 +152,21 @@ class LoopbackBackend(NetBackend):
 
     def _deliver_stream(self, sender: Socket, peer: Socket,
                         chunk: bytes) -> None:
-        """Make ``chunk`` readable at ``peer`` (called under ``peer.cond``)."""
+        """Make ``chunk`` readable at ``peer`` (called under ``peer.lock``)."""
         self._tap_record("data", sender, peer, chunk)
         n = peer.rx.write(chunk)  # pre-clamped to the window by the caller
         assert n == len(chunk), (n, len(chunk))
-        peer.cond.notify_all()
         peer.wq.wake(EPOLLIN)
 
     def _deliver_dgram(self, sender: Socket, target: Socket,
                        payload: Tuple[Tuple, bytes]) -> None:
         self._tap_record("dgram", sender, target, payload[1])
-        with target.cond:
+        with target.lock:
             target.dgrams.append(payload)
-            target.cond.notify_all()
         target.wq.wake(EPOLLIN)
 
     def deliver_eof(self, sender: Socket, peer: Socket, mask: int) -> None:
         self._tap_record("eof", sender, peer, b"")
-        with peer.cond:
+        with peer.lock:
             peer.rx.set_eof()
-            peer.cond.notify_all()
         peer.wq.wake(mask)

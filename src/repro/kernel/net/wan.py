@@ -127,7 +127,7 @@ class WanBackend(LoopbackBackend):
 
     def _transmit(self, sender: Socket, peer: Socket, kind: str,
                   payload, nbytes: int, reorder: bool = False) -> bool:
-        """Queue one payload for delayed delivery (under ``peer.cond``).
+        """Queue one payload for delayed delivery (under ``peer.lock``).
 
         Returns False when the payload should be delivered inline — the
         link adds no delay and nothing is queued ahead, or ``reorder``
@@ -173,7 +173,7 @@ class WanBackend(LoopbackBackend):
     def _pump(self, peer: Socket) -> None:
         """Timer expiry: move every due payload into the receive side."""
         mask = 0
-        with peer.cond:
+        with peer.lock:
             peer.__dict__["_wan_timer_armed"] = False
             q = peer.__dict__.get("_wan_pending")
             now = _time.monotonic_ns()
@@ -193,8 +193,6 @@ class WanBackend(LoopbackBackend):
                 # later payloads (or an early-firing Timer) still pending
                 peer.__dict__["_wan_timer_armed"] = True
                 self._arm(peer, q[0][0] - now)
-            if mask:
-                peer.cond.notify_all()
         if mask:
             peer.wq.wake(mask)
 
@@ -233,14 +231,14 @@ class WanBackend(LoopbackBackend):
             if reordered:
                 self.counters.inc("net.reorder")
         for _ in range(2 if duplicated else 1):
-            with target.cond:
+            with target.lock:
                 queued = self._transmit(sender, target, "dgram", payload,
                                         len(payload[1]), reorder=reordered)
             if not queued:
                 super()._deliver_dgram(sender, target, payload)
 
     def deliver_eof(self, sender: Socket, peer: Socket, mask: int) -> None:
-        with peer.cond:
+        with peer.lock:
             queued = self._transmit(sender, peer, "eof", mask, 0)
         if not queued:
             super().deliver_eof(sender, peer, mask)

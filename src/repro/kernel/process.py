@@ -135,8 +135,10 @@ class Process:
         self.robust_list = 0
         self.alarm_deadline_ns: Optional[int] = None
 
-        # blocking syscalls wait on this; signal generation notifies it
+        # the wake flag: Kernel.wait_event clears it and sleeps on
+        # ``wake`` while it stays clear; every wake source calls kick()
         self.wake = threading.Condition()
+        self.woken = False
 
         # scheduler state: vruntime, nice/weight, slice + wait accounting
         self.se = SchedEntity()
@@ -164,7 +166,16 @@ class Process:
         self.pending.generate(sig, sender_pid, sender_uid)
         for sfd in list(self.signalfds):
             sfd.signal_generated(sig)
+        self.kick()
+
+    def kick(self, events: int = 0) -> None:
+        """Wake this task: set the wake flag and notify its sleep.
+
+        The one way to wake a task (child exit, futex wake, PI hand-off,
+        signal generation); waitqueues call it directly as a subscriber,
+        hence the ignored ``events`` mask."""
         with self.wake:
+            self.woken = True
             self.wake.notify_all()
 
     def has_deliverable_signal(self) -> bool:

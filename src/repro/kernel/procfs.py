@@ -154,7 +154,8 @@ def _sched_debug(kernel) -> bytes:
         f"wakeups: {_get(kernel, 'sched.wakeup')} "
         f"preemptions: {_get(kernel, 'sched.preempt')} "
         f"migrations: {_get(kernel, 'sched.migrate')} "
-        f"steals: {_get(kernel, 'sched.steal')}",
+        f"steals: {_get(kernel, 'sched.steal')} "
+        f"lost_wakeups: {_get(kernel, 'sched.lost_wakeups')}",
     ]
     for rq in sched.cpu_snapshot():
         cur = rq["current"] if rq["current"] is not None else "-"

@@ -51,8 +51,7 @@ _MAX_DEPTH = 12
 _BINOPS = {**_BINOPS32, **_BINOPS64, **_BINOPSF}
 
 # helpers whose templates may raise: their results are computed at the op
-_RAISING = ("_idiv_s", "_irem_s", "_udiv", "_urem", "_trunc", "_sqrt",
-            "_ceil", "_floor", "int(", "round(")
+_RAISING = ("_idiv_s", "_irem_s", "_udiv", "_urem", "_trunc")
 
 # load op -> (size, reader template over ``data`` and address ``{a}``)
 _LOADS = {

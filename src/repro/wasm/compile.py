@@ -27,8 +27,8 @@ from .errors import (
 )
 from .flatten import SAFEPOINT_SCHEMES
 from .interp import (
-    HostFunc, _clz, _ctz, _fdiv, _idiv_s, _irem_s, _rotl, _sext, _trunc,
-    _udiv, _urem,
+    HostFunc, _clz, _ctz, _fceil, _fdiv, _ffloor, _fmax, _fmin, _fnearest,
+    _fsqrt, _ftrunc, _idiv_s, _irem_s, _rotl, _sext, _trunc, _udiv, _urem,
 )
 from .module import Module
 from .types import (
@@ -96,8 +96,8 @@ _BINOPS64 = {
 }
 _BINOPSF = {
     "f64.add": "{a} + {b}", "f64.sub": "{a} - {b}", "f64.mul": "{a} * {b}",
-    "f64.div": "_fdiv({a}, {b})", "f64.min": "min({a}, {b})",
-    "f64.max": "max({a}, {b})",
+    "f64.div": "_fdiv({a}, {b})", "f64.min": "_fmin({a}, {b})",
+    "f64.max": "_fmax({a}, {b})",
     "f64.eq": "1 if {a} == {b} else 0", "f64.ne": "1 if {a} != {b} else 0",
     "f64.lt": "1 if {a} < {b} else 0", "f64.gt": "1 if {a} > {b} else 0",
     "f64.le": "1 if {a} <= {b} else 0", "f64.ge": "1 if {a} >= {b} else 0",
@@ -126,8 +126,8 @@ _UNOPS = {
     "f64.convert_i64_s": "float(_sgn64({a}))",
     "f64.convert_i64_u": "float({a})",
     "f64.abs": "abs({a})", "f64.neg": "-{a}", "f64.sqrt": "_sqrt({a})",
-    "f64.ceil": "float(_ceil({a}))", "f64.floor": "float(_floor({a}))",
-    "f64.trunc": "float(int({a}))", "f64.nearest": "float(round({a}))",
+    "f64.ceil": "_ceil({a})", "f64.floor": "_floor({a})",
+    "f64.trunc": "_ftrunc({a})", "f64.nearest": "_nearest({a})",
 }
 _LOADS = {
     "i32.load": "mem.load_u({a} + %d, 4)",
@@ -554,8 +554,9 @@ TEMPLATE_ENV = {
     "_idiv_s": _idiv_s, "_irem_s": _irem_s, "_clz": _clz, "_ctz": _ctz,
     "_rotl": _rotl, "_trunc": _trunc, "_sgn32": signed32,
     "_sgn64": signed64, "_sext": _sext, "_udiv": _udiv, "_urem": _urem,
-    "_fdiv": _fdiv, "_sqrt": math.sqrt, "_ceil": math.ceil,
-    "_floor": math.floor, "_INF": math.inf, "_NAN": math.nan, "Trap": Trap,
+    "_fdiv": _fdiv, "_sqrt": _fsqrt, "_ceil": _fceil, "_floor": _ffloor,
+    "_ftrunc": _ftrunc, "_nearest": _fnearest, "_fmin": _fmin,
+    "_fmax": _fmax, "_INF": math.inf, "_NAN": math.nan, "Trap": Trap,
     "TrapUnreachable": TrapUnreachable,
 }
 

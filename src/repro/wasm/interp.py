@@ -26,6 +26,7 @@ i64 in ``[0, 2**64)``) and Python floats for f64.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional
 
 from .errors import (
@@ -121,6 +122,45 @@ def _trunc(f: float, lo: int, hi: int, mask: int) -> int:
     return t & mask
 
 
+def _fsqrt(x: float) -> float:
+    """f64.sqrt: NaN for a negative operand, where ``math.sqrt`` raises."""
+    return math.sqrt(x) if x >= 0.0 else math.nan
+
+
+def _fmin(a: float, b: float) -> float:
+    """f64.min: NaN when either operand is, and -0.0 below 0.0."""
+    if a != a or b != b:
+        return math.nan
+    if a == b:  # equal zeros differ only in sign
+        return a if math.copysign(1.0, a) < 0 else b
+    return a if a < b else b
+
+
+def _fmax(a: float, b: float) -> float:
+    """f64.max: NaN when either operand is, and 0.0 above -0.0."""
+    if a != a or b != b:
+        return math.nan
+    if a == b:
+        return b if math.copysign(1.0, a) < 0 else a
+    return a if a > b else b
+
+
+def _fround(fn: Callable) -> Callable[[float], float]:
+    """An f64 rounding op over ``fn``: ±inf and NaN come back unchanged,
+    and a zero result keeps the operand's sign (``ceil(-0.5)`` is -0.0)."""
+    def op(x: float) -> float:
+        if not math.isfinite(x):
+            return x
+        return math.copysign(fn(x), x)
+    return op
+
+
+_fceil = _fround(math.ceil)
+_ffloor = _fround(math.floor)
+_ftrunc = _fround(math.trunc)
+_fnearest = _fround(round)  # round() is round-half-to-even, like wasm
+
+
 # Simple value ops: name -> fn(stack) mutating the operand stack in place.
 def _build_arith():
     A = {}
@@ -198,8 +238,6 @@ def _build_arith():
     A["i64.eqz"] = h_eqz32
 
     # f64
-    import math
-
     def binf(name, fn):
         def h(s, fn=fn):
             b = s.pop(); a = s.pop()
@@ -221,8 +259,8 @@ def _build_arith():
     binf("sub", lambda a, b: a - b)
     binf("mul", lambda a, b: a * b)
     binf("div", lambda a, b: _fdiv(a, b))
-    binf("min", min)
-    binf("max", max)
+    binf("min", _fmin)
+    binf("max", _fmax)
     cmpf("eq", lambda a, b: a == b)
     cmpf("ne", lambda a, b: a != b)
     cmpf("lt", lambda a, b: a < b)
@@ -231,11 +269,11 @@ def _build_arith():
     cmpf("ge", lambda a, b: a >= b)
     unf("abs", abs)
     unf("neg", lambda x: -x)
-    unf("sqrt", math.sqrt)
-    unf("ceil", lambda x: float(math.ceil(x)))
-    unf("floor", lambda x: float(math.floor(x)))
-    unf("trunc", lambda x: float(int(x)))
-    unf("nearest", lambda x: float(round(x)))
+    unf("sqrt", _fsqrt)
+    unf("ceil", _fceil)
+    unf("floor", _ffloor)
+    unf("trunc", _ftrunc)
+    unf("nearest", _fnearest)
 
     # conversions
     def conv(name, fn):

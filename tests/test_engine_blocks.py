@@ -22,6 +22,7 @@ from repro.kernel.kernel import Kernel
 from repro.wali import WaliRuntime
 from repro.wasm import F64, I32, ModuleBuilder, instantiate
 from repro.wasm import interp
+from repro.wasm.compile import compile_instance
 from repro.wasm.errors import Trap
 from repro.wasm.interp import Machine
 
@@ -544,9 +545,70 @@ def test_image_cache_drops_a_rewritten_file():
     assert rt.kernel.console_output() == b""
 
 
+NAN, INF = float("nan"), float("inf")
+
+# wasm's f64 results, where Python's math spelling raises or drops a sign
+F64_SPEC = {
+    "f64.sqrt": [(-1.0, NAN), (-INF, NAN), (NAN, NAN), (-0.0, -0.0),
+                 (4.0, 2.0), (INF, INF)],
+    "f64.ceil": [(-0.5, -0.0), (0.5, 1.0), (-1.5, -1.0), (-0.0, -0.0),
+                 (INF, INF), (-INF, -INF), (NAN, NAN)],
+    "f64.floor": [(0.5, 0.0), (-0.5, -1.0), (-0.0, -0.0), (INF, INF),
+                  (-INF, -INF), (NAN, NAN)],
+    "f64.trunc": [(-0.5, -0.0), (2.7, 2.0), (-2.7, -2.0), (INF, INF),
+                  (-INF, -INF), (NAN, NAN)],
+    "f64.nearest": [(-0.4, -0.0), (0.4, 0.0), (2.5, 2.0), (3.5, 4.0),
+                    (-2.5, -2.0), (INF, INF), (-INF, -INF), (NAN, NAN)],
+}
+
+
+def _same_f64(got, want) -> bool:
+    if want != want:
+        return got != got
+    return repr(got) == repr(want)  # tells -0.0 from 0.0
+
+
+# binary ops: ((a, b), result)
+F64_SPEC.update({
+    "f64.min": [((1.0, NAN), NAN), ((NAN, 1.0), NAN), ((0.0, -0.0), -0.0),
+                ((-0.0, 0.0), -0.0), ((2.0, -3.0), -3.0)],
+    "f64.max": [((1.0, NAN), NAN), ((NAN, 1.0), NAN), ((0.0, -0.0), 0.0),
+                ((-0.0, 0.0), 0.0), ((2.0, -3.0), 2.0)],
+})
+
+
+@pytest.mark.parametrize("op", sorted(F64_SPEC))
+def test_f64_ops_give_spec_values(hot_at_once, op):
+    """The interpreter, the compiled blocks and the AoT tier all return
+    wasm's value: NaN for sqrt of a negative and from min/max of a NaN,
+    the operand for ±inf and NaN, and the right signed zero."""
+    binary = isinstance(F64_SPEC[op][0][0], tuple)
+    mb = ModuleBuilder("f64op")
+    f = mb.func("f", params=[F64, F64] if binary else [F64], results=[F64],
+                export=True)
+    f.local_get(0)
+    if binary:
+        f.local_get(1)
+    f.op(op)
+    f.end()
+    module = mb.build()
+    for x, want in F64_SPEC[op]:
+        args = list(x) if binary else [x]
+        for engine in (BLOCKS, REFERENCE):
+            inst = instantiate(module)
+            if engine == REFERENCE:
+                inst.machine.fuel = 10**9
+            got = inst.machine.invoke(inst.func_by_name("f"), args)
+            assert _same_f64(got, want), (engine, op, x, got)
+        inst = instantiate(module)
+        got = compile_instance(inst).invoke(inst.func_index_of("f"),
+                                            tuple(args))
+        assert _same_f64(got, want), ("aot", op, x, got)
+
+
 def test_f64_blocks_agree(hot_at_once):
-    """Float constants (infinities, NaN, -0.0) and float ops, including
-    ones whose Python spelling raises, give the same values and steps."""
+    """Float constants (infinities, NaN, -0.0) and float ops give the
+    same values and steps on both engines."""
     mb = ModuleBuilder("f64")
     mb.add_memory(1, 1)
     f = mb.func("f", params=[F64], results=[F64], export=True)
@@ -567,9 +629,6 @@ def test_f64_blocks_agree(hot_at_once):
             m = inst.machine
             if engine == REFERENCE:
                 m.fuel = 10**9
-            try:
-                result = repr(m.invoke(inst.func_by_name("f"), [x]))
-            except (Trap, ArithmeticError, ValueError) as exc:
-                result = type(exc).__name__
+            result = repr(m.invoke(inst.func_by_name("f"), [x]))
             outcomes.append((result, m.steps))
         assert outcomes[0] == outcomes[1], x

@@ -18,9 +18,11 @@ from repro.kernel import (
 from repro.kernel.errno import (
     EAGAIN, EBADF, EEXIST, EINVAL, ELOOP, ENOENT, EPERM,
 )
-from repro.kernel.sockets import SOCK_BUF_CAPACITY, SOCK_NONBLOCK
+from repro.kernel.net import SOCK_BUF_CAPACITY, SOCK_NONBLOCK
 
 POLLIN, POLLOUT, POLLERR, POLLHUP, POLLNVAL = 1, 4, 8, 0x10, 0x20
+
+pytestmark = pytest.mark.usefixtures("no_lost_wakeups")
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ from repro.kernel import (
     O_NONBLOCK, O_RDONLY, O_RDWR, O_TRUNC, O_WRONLY,
 )
 from repro.kernel.errno import (
-    EBADF, EEXIST, EINVAL, EISDIR, ELOOP, ENOENT, ENOSPC, ENOTDIR,
+    EBADF, EEXIST, EFBIG, EINVAL, EISDIR, ELOOP, ENOENT, ENOSPC, ENOTDIR,
     ENOTEMPTY, ESPIPE,
 )
 from repro.kernel.fdtable import F_DUPFD_CLOEXEC, F_GETFD, F_GETFL, F_SETFL
@@ -369,6 +369,40 @@ class TestMetadata:
         assert k.vfs.read_file("/tmp/tr") == b"abc\x00\x00\x00"
         k.call(proc, "truncate", "/tmp/tr", 2)
         assert k.vfs.read_file("/tmp/tr") == b"ab"
+
+    def _truncate_errno(self, k, proc, *args, call="truncate"):
+        with pytest.raises(KernelError) as ei:
+            k.call(proc, call, *args)
+        return ei.value.errno
+
+    def test_truncate_negative_length_einval(self, k, proc):
+        k.vfs.write_file("/tmp/neg", b"0123456789")
+        assert self._truncate_errno(k, proc, "/tmp/neg", -5) == EINVAL
+        fd = k.call(proc, "openat", AT_FDCWD, "/tmp/neg", O_RDWR, 0)
+        assert self._truncate_errno(k, proc, fd, -1,
+                                    call="ftruncate") == EINVAL
+        assert k.vfs.read_file("/tmp/neg") == b"0123456789"
+
+    def test_truncate_non_regular_einval(self, k, proc):
+        assert self._truncate_errno(k, proc, "/dev/null", 2**31 - 1) \
+            == EINVAL
+        assert self._truncate_errno(k, proc, "/tmp", 0) == EISDIR
+
+    def test_truncate_proc_self_mem_einval(self, k, proc):
+        assert self._truncate_errno(k, proc, "/proc/self/mem", -1) == EINVAL
+        assert self._truncate_errno(k, proc, "/proc/self/mem", 0) == EINVAL
+
+    def test_truncate_past_size_limits_efbig(self, k, proc):
+        proc.setrlimit(RLIMIT_FSIZE, 4, 4)
+        fd = k.call(proc, "openat", AT_FDCWD, "/tmp/big", O_CREAT | O_RDWR,
+                    0o644)
+        # the cap the file was created under, then the live rlimit
+        assert self._truncate_errno(k, proc, fd, 5,
+                                    call="ftruncate") == EFBIG
+        k.vfs.write_file("/tmp/old", b"")
+        assert self._truncate_errno(k, proc, "/tmp/old", 5) == EFBIG
+        k.call(proc, "truncate", "/tmp/old", 4)
+        assert k.vfs.read_file("/tmp/old") == b"\x00" * 4
 
     def test_statfs(self, k, proc):
         sf = k.call(proc, "statfs", "/tmp")

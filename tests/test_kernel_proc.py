@@ -17,6 +17,8 @@ from repro.kernel.errno import (
 from repro.kernel.mm import AddressSpace, MREMAP_MAYMOVE
 from repro.kernel.process import RLIMIT_NOFILE
 
+pytestmark = pytest.mark.usefixtures("no_lost_wakeups")
+
 
 @pytest.fixture
 def k():

@@ -12,15 +12,21 @@ import time
 import pytest
 
 from repro.kernel import (
-    BackgroundSpinners, Kernel, KernelError, Process, Scheduler,
-    create_scheduler, nice_to_weight,
+    CLONE_FILES, CLONE_SIGHAND, CLONE_THREAD, CLONE_VM, SIG_BLOCK, SIGUSR1,
+    BackgroundSpinners, Kernel, KernelError, Process, Scheduler, SigAction,
+    create_scheduler, nice_to_weight, sig_bit,
 )
-from repro.kernel.errno import EINVAL, EPERM, ESRCH
+from repro.kernel.calls.proc import FUTEX_LOCK_PI, FUTEX_WAIT, FUTEX_WAKE
+from repro.kernel.errno import EAGAIN, EINTR, EINVAL, EPERM, ESRCH, ETIMEDOUT
+from repro.kernel.kernel import _SAFETY_SLICE_S
+from repro.kernel.mm import AddressSpace
 from repro.kernel.sched import (
-    NICE_0_WEIGHT, SCHED_DEAD, SCHED_RUNNABLE, SCHED_RUNNING,
+    NICE_0_WEIGHT, SCHED_BLOCKED, SCHED_DEAD, SCHED_RUNNABLE, SCHED_RUNNING,
 )
 
 SLICE_US = 100
+
+pytestmark = pytest.mark.usefixtures("no_lost_wakeups")
 
 
 class FakeClock:
@@ -502,3 +508,190 @@ class TestKernelIntegration:
         # percentages partition active time
         assert bd.app_pct + bd.kernel_pct + bd.wali_pct + bd.wait_pct == \
             pytest.approx(100.0)
+
+
+# --------------------------------------------------------------------------
+# Kernel.wait_event: the one blocking loop, woken by Process.kick
+# --------------------------------------------------------------------------
+
+def _record_sleeps(kern):
+    """Wrap ``kern.sched.sleep``: the returned list gets True for each
+    sleep a kick ended and False for each that ran out its time."""
+    outcomes = []
+    sleep = kern.sched.sleep
+
+    def recording_sleep(proc, wait_s):
+        kicked = sleep(proc, wait_s)
+        outcomes.append(kicked)
+        return kicked
+
+    kern.sched.sleep = recording_sleep
+    return outcomes
+
+
+def _in_thread(fn):
+    """Run ``fn`` on a thread; the box gets its result or its errno."""
+    box = {}
+
+    def run():
+        try:
+            box["result"] = fn()
+        except KernelError as exc:
+            box["errno"] = exc.errno
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    return t, box
+
+
+def _wait_blocked(proc, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while proc.se.state != SCHED_BLOCKED:
+        assert time.monotonic() < deadline, "task never blocked"
+        time.sleep(0.001)
+
+
+def _lost(kern):
+    return kern.trace.counters.get("sched.lost_wakeups")
+
+
+class TestWaitEvent:
+    def test_kick_inside_cond_does_not_sleep_out_the_slice(self):
+        """A wake landing between a failed check and the sleep sets the
+        flag, so the sleep returns at once instead of after the slice."""
+        kern = Kernel()
+        proc = kern.create_process(["w"])
+        sleeps = _record_sleeps(kern)
+        checks = []
+
+        def cond():
+            checks.append(1)
+            if len(checks) == 1:
+                proc.kick()  # the waker runs right after the check
+                return None
+            return "ready"
+
+        kern.sched.syscall_enter(proc)
+        assert kern.wait_event(proc, cond) == "ready"
+        kern.sched.syscall_exit(proc)
+        assert sleeps == [True]  # ended by the kick, not the slice
+        assert _lost(kern) == 0
+
+    @pytest.mark.allow_lost_wakeups
+    def test_state_change_without_kick_is_a_lost_wakeup(self):
+        """A condition that turns true with no kick is only seen when
+        the safety slice runs out; that is counted and shown in
+        /proc/sched_debug."""
+        kern = Kernel()
+        proc = kern.create_process(["w"])
+        sleeps = _record_sleeps(kern)
+        state = []
+
+        def change_state_silently():
+            _wait_blocked(proc)
+            state.append(1)
+
+        t = threading.Thread(target=change_state_silently, daemon=True)
+        t.start()
+        kern.sched.syscall_enter(proc)
+        t0 = time.monotonic()
+        assert kern.wait_event(proc, lambda: state or None) == [1]
+        assert time.monotonic() - t0 >= _SAFETY_SLICE_S * 0.9
+        kern.sched.syscall_exit(proc)
+        t.join(timeout=5)
+        assert sleeps == [False]
+        assert _lost(kern) == 1
+        fd = kern.call(proc, "open", "/proc/sched_debug", 0)
+        assert b"lost_wakeups: 1" in kern.call(proc, "read", fd, 65536)
+
+    def test_wait4_woken_by_child_exit(self):
+        kern = Kernel()
+        parent = kern.create_process(["parent"])
+        child = kern.call(parent, "fork")
+        sleeps = _record_sleeps(kern)
+        t, box = _in_thread(lambda: kern.call(parent, "wait4", -1, 0))
+        _wait_blocked(parent)
+        kern.call(child, "exit_group", 7)
+        t.join(timeout=5)
+        assert box["result"][0] == child.pid
+        assert box["result"][1] >> 8 == 7
+        assert sleeps[-1] is True and _lost(kern) == 0
+
+    def test_futex_wait_woken_by_futex_wake(self):
+        kern = Kernel()
+        proc = kern.create_process(["main"])
+        proc.mm = AddressSpace(0, 1 << 20)
+        sibling = kern.call(
+            proc, "clone", CLONE_VM | CLONE_FILES | CLONE_SIGHAND |
+            CLONE_THREAD)
+        sleeps = _record_sleeps(kern)
+        t, box = _in_thread(
+            lambda: kern.call(proc, "futex", 0x3000, FUTEX_WAIT, 1, 1))
+        _wait_blocked(proc)
+        assert kern.call(sibling, "futex", 0x3000, FUTEX_WAKE, 1, 0) == 1
+        t.join(timeout=5)
+        assert box == {"result": 0}
+        assert sleeps[-1] is True and _lost(kern) == 0
+
+    def test_sigtimedwait_woken_by_signal(self):
+        kern = Kernel()
+        proc = kern.create_process(["waiter"])
+        sender = kern.create_process(["sender"])
+        kern.call(proc, "rt_sigprocmask", SIG_BLOCK, sig_bit(SIGUSR1))
+        sleeps = _record_sleeps(kern)
+        t, box = _in_thread(lambda: kern.call(
+            proc, "rt_sigtimedwait", sig_bit(SIGUSR1), None))
+        _wait_blocked(proc)
+        kern.call(sender, "kill", proc.pid, SIGUSR1)
+        t.join(timeout=5)
+        assert box == {"result": SIGUSR1}
+        assert sleeps[-1] is True and _lost(kern) == 0
+
+    def test_nanosleep_ends_at_its_deadline(self):
+        kern = Kernel()
+        proc = kern.create_process(["sleeper"])
+        sleeps = _record_sleeps(kern)
+        t0 = time.monotonic()
+        assert kern.call(proc, "nanosleep", 20_000_000) == 0
+        assert time.monotonic() - t0 >= 0.02
+        assert sleeps and not any(sleeps)  # nothing kicked it
+
+    def test_nanosleep_interrupted_by_signal_eintr(self):
+        kern = Kernel()
+        proc = kern.create_process(["sleeper"])
+        kern.call(proc, "rt_sigaction", SIGUSR1, SigAction(handler=5))
+        sleeps = _record_sleeps(kern)
+        t, box = _in_thread(
+            lambda: kern.call(proc, "nanosleep", 10 * 10**9))
+        _wait_blocked(proc)
+        proc.generate_signal(SIGUSR1)
+        t.join(timeout=5)
+        assert box == {"errno": EINTR}
+        assert sleeps[-1] is True
+
+    def test_timeouts_keep_their_errnos(self):
+        kern = Kernel()
+        proc = kern.create_process(["main"])
+        proc.mm = AddressSpace(0, 1 << 20)
+        sibling = kern.call(
+            proc, "clone", CLONE_VM | CLONE_FILES | CLONE_SIGHAND |
+            CLONE_THREAD)
+        cases = [
+            (lambda: kern.call(proc, "futex", 0x4000, FUTEX_WAIT, 0, 0,
+                               1_000_000), ETIMEDOUT),
+            (lambda: kern.call(proc, "rt_sigtimedwait", sig_bit(SIGUSR1),
+                               1_000_000), EAGAIN),
+        ]
+        for call, errno in cases:
+            with pytest.raises(KernelError) as ei:
+                call()
+            assert ei.value.errno == errno
+        assert kern.call(sibling, "futex", 0x5000, FUTEX_LOCK_PI, 0, 0) == 0
+        with pytest.raises(KernelError) as ei:
+            kern.call(proc, "futex", 0x5000, FUTEX_LOCK_PI, 0, 0, 1_000_000)
+        assert ei.value.errno == ETIMEDOUT
+        r, _ = kern.call(proc, "pipe")
+        assert kern.call(proc, "ppoll", [(r, 1)], 1_000_000) == []
+        ep = kern.call(proc, "epoll_create1", 0)
+        assert kern.call(proc, "epoll_pwait", ep, 4, 1_000_000) == []
+        assert _lost(kern) == 0

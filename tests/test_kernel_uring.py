@@ -24,6 +24,8 @@ from repro.kernel.errno import (
 
 POLLIN = 1
 
+pytestmark = pytest.mark.usefixtures("no_lost_wakeups")
+
 
 # every ring-serving test runs twice: on an idle kernel, and preempted
 # every 50 us by two CPU-bound spinner guests on a 2-slot scheduler —
